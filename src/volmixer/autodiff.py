@@ -6,12 +6,14 @@ once, in reverse, accumulating gradients into every tensor that was created
 with ``requires_grad=True``. Outside a tape block nothing is recorded, so
 inference passes carry no gradient state.
 
-Only the operations the forecaster actually needs are provided; there is no
-general broadcasting beyond constant factors.
+Only the operations the forecaster actually needs are provided, with no
+general broadcasting. Every map along the time axis (moving average, pooling,
+mixing, predictor heads) is one op, ``time_linear``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Optional, Sequence
 
@@ -172,44 +174,6 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
     return _make(av * bv, (a, b), bwd, "multiply")
 
 
-def scale(x: Tensor, c) -> Tensor:
-    """Multiply by a constant scalar or constant array broadcastable to x."""
-    c = np.asarray(c, dtype=np.float64)
-    out_vals = x.values * c
-    if out_vals.shape != x.shape:
-        raise ShapeError(f"scale: factor shape {c.shape} does not broadcast "
-                         f"onto {x.shape} without growing it")
-
-    def bwd(g):
-        if x.requires_grad:
-            x._accumulate(g * c)
-
-    return _make(out_vals, (x,), bwd, "scale")
-
-
-def shift(x: Tensor, c) -> Tensor:
-    """Add a constant scalar or constant array broadcastable to x."""
-    c = np.asarray(c, dtype=np.float64)
-    out_vals = x.values + c
-    if out_vals.shape != x.shape:
-        raise ShapeError(f"shift: offset shape {c.shape} does not broadcast "
-                         f"onto {x.shape} without growing it")
-
-    def bwd(g):
-        if x.requires_grad:
-            x._accumulate(g)
-
-    return _make(out_vals, (x,), bwd, "shift")
-
-
-def tensor_sum(x: Tensor) -> Tensor:
-    def bwd(g):
-        if x.requires_grad:
-            x._accumulate(np.full_like(x.values, float(g)))
-
-    return _make(np.asarray(x.values.sum()), (x,), bwd, "sum")
-
-
 def mean(x: Tensor) -> Tensor:
     n = x.size
 
@@ -218,34 +182,6 @@ def mean(x: Tensor) -> Tensor:
             x._accumulate(np.full_like(x.values, float(g) / n))
 
     return _make(np.asarray(x.values.mean()), (x,), bwd, "mean")
-
-
-def variance(x: Tensor, ddof: int = 0) -> Tensor:
-    """Variance over all elements; ``ddof`` selects population (0) or sample (1)."""
-    n = x.size
-    if n - ddof <= 0:
-        raise ParameterError(f"variance: need more than {ddof} elements")
-    mu = x.values.mean()
-    centered = x.values - mu
-
-    def bwd(g):
-        if x.requires_grad:
-            x._accumulate(float(g) * 2.0 * centered / (n - ddof))
-
-    return _make(np.asarray(np.sum(centered * centered) / (n - ddof)),
-                 (x,), bwd, "variance")
-
-
-def sqrt(x: Tensor) -> Tensor:
-    if np.any(x.values < 0):
-        raise NumericError("sqrt of negative input")
-    root = np.sqrt(x.values)
-
-    def bwd(g):
-        if x.requires_grad:
-            x._accumulate(g * 0.5 / np.maximum(root, 1e-300))
-
-    return _make(root, (x,), bwd, "sqrt")
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
@@ -291,6 +227,72 @@ def gelu(x: Tensor) -> Tensor:
     return _make(0.5 * v * (1.0 + t), (x,), bwd, "gelu")
 
 
+def time_linear(x: Tensor, a, bias: Optional[Tensor] = None,
+                denom: float = 1.0) -> Tensor:
+    """``(a.T @ x) / denom + bias`` along the time axis (second-to-last).
+
+    ``a`` is (T, T') and maps T input steps to T' output steps, shared across
+    the leading and channel axes. It is either a learned ``Tensor`` (a mixing
+    map or a predictor head) or a constant array, such as the integer count
+    matrices of the averaging helpers below, which pass their divisor as
+    ``denom``.
+    """
+    learned = isinstance(a, Tensor)
+    av = a.values if learned else a
+    t_in, t_out = av.shape
+    xv = x.values
+    if xv.ndim < 2 or xv.shape[-2] != t_in:
+        raise ShapeError(f"time_linear: input {x.shape} has no time axis of "
+                         f"length {t_in}")
+    if bias is not None and bias.shape != (t_out,):
+        raise ShapeError(f"time_linear: bias shape {bias.shape} != ({t_out},)")
+    out_vals = av.T @ xv
+    if denom != 1.0:
+        out_vals /= denom
+    if bias is not None:
+        out_vals += bias.values[:, None]
+    other = tuple(i for i in range(xv.ndim) if i != xv.ndim - 2)
+
+    def bwd(g):
+        if x.requires_grad:
+            gx = av @ g
+            x._accumulate(gx / denom if denom != 1.0 else gx)
+        if learned and a.requires_grad:
+            ga = np.tensordot(xv, g, axes=(other, other))
+            a._accumulate(ga / denom if denom != 1.0 else ga)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(g.sum(axis=other))
+
+    inputs = (x,) + ((a,) if learned else ())
+    inputs += (bias,) if bias is not None else ()
+    return _make(out_vals, inputs, bwd, "time_linear")
+
+
+@functools.lru_cache(maxsize=64)
+def _pool_counts(t_len: int) -> np.ndarray:
+    """(T, T//2) matrix with ones at steps 2k and 2k+1 of output k."""
+    k = np.arange(t_len // 2)
+    counts = np.zeros((t_len, t_len // 2))
+    counts[2 * k, k] = counts[2 * k + 1, k] = 1.0
+    counts.setflags(write=False)
+    return counts
+
+
+@functools.lru_cache(maxsize=64)
+def _window_counts(t_len: int, kernel: int) -> np.ndarray:
+    """(T, T) matrix counting how often step s falls in step t's window.
+
+    Windows are centered; taps past either end repeat the edge step.
+    """
+    half = kernel // 2
+    steps = np.arange(t_len)[:, None]
+    taps = np.clip(steps + np.arange(-half, half + 1), 0, t_len - 1)
+    counts = np.zeros((t_len, t_len))
+    np.add.at(counts, (taps, steps), 1.0)
+    counts.setflags(write=False)
+    return counts
+
+
 def avg_pool_halve(x: Tensor) -> Tensor:
     """Halve the time axis (second-to-last) by pairwise means.
 
@@ -299,18 +301,7 @@ def avg_pool_halve(x: Tensor) -> Tensor:
     t_len = x.shape[-2]
     if t_len < 2:
         raise ShapeError(f"avg_pool_halve: time length {t_len} < 2")
-    t_even = (t_len // 2) * 2
-    v = x.values[..., :t_even, :]
-    out_vals = 0.5 * (v[..., 0::2, :] + v[..., 1::2, :])
-
-    def bwd(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.values)
-            gx[..., 0:t_even:2, :] = 0.5 * g
-            gx[..., 1:t_even:2, :] = 0.5 * g
-            x._accumulate(gx)
-
-    return _make(out_vals, (x,), bwd, "avg_pool_halve")
+    return time_linear(x, _pool_counts(t_len), denom=2.0)
 
 
 def moving_average(x: Tensor, kernel: int) -> Tensor:
@@ -321,34 +312,14 @@ def moving_average(x: Tensor, kernel: int) -> Tensor:
     """
     if kernel < 1 or kernel % 2 == 0:
         raise ParameterError(f"moving_average: kernel must be odd positive, got {kernel}")
-    t_len = x.shape[-2]
-    half = kernel // 2
-    pad = [(0, 0)] * x.values.ndim
-    pad[-2] = (half, half)
-    xp = np.pad(x.values, pad, mode="edge")
-    out_vals = np.zeros_like(x.values)
-    for j in range(kernel):
-        out_vals += xp[..., j:j + t_len, :]
-    out_vals /= kernel
-
-    def bwd(g):
-        if x.requires_grad:
-            pshape = list(x.values.shape)
-            pshape[-2] += 2 * half
-            gp = np.zeros(pshape)
-            gk = g / kernel
-            for j in range(kernel):
-                gp[..., j:j + t_len, :] += gk
-            gx = gp[..., half:half + t_len, :].copy()
-            if half > 0:
-                gx[..., 0, :] += gp[..., :half, :].sum(axis=-2)
-                gx[..., -1, :] += gp[..., half + t_len:, :].sum(axis=-2)
-            x._accumulate(gx)
-
-    return _make(out_vals, (x,), bwd, "moving_average")
+    return time_linear(x, _window_counts(x.shape[-2], kernel), denom=kernel)
 
 
 def transpose_last2(x: Tensor) -> Tensor:
+    """Swap the last two axes; the model uses ``time_linear`` instead.
+
+    Kept because ``perfbench/spans.py`` traces every op in its ``OPS`` list.
+    """
     if x.values.ndim < 2:
         raise ShapeError("transpose_last2 needs at least 2 dimensions")
 
@@ -357,38 +328,6 @@ def transpose_last2(x: Tensor) -> Tensor:
             x._accumulate(np.swapaxes(g, -1, -2))
 
     return _make(np.swapaxes(x.values, -1, -2), (x,), bwd, "transpose_last2")
-
-
-def concatenate(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    if not tensors:
-        raise ParameterError("concatenate: empty input list")
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-    ts = tuple(tensors)
-
-    def bwd(g):
-        for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t._accumulate(g[tuple(idx)])
-
-    return _make(np.concatenate([t.values for t in ts], axis=axis),
-                 ts, bwd, "concatenate")
-
-
-def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    idx = [slice(None)] * x.values.ndim
-    idx[axis] = slice(start, stop)
-    idx = tuple(idx)
-
-    def bwd(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.values)
-            gx[idx] = g
-            x._accumulate(gx)
-
-    return _make(x.values[idx], (x,), bwd, "slice")
 
 
 def reshape(x: Tensor, shape) -> Tensor:

@@ -279,7 +279,8 @@ def cmd_run(config: RunConfig) -> int:
     for entry in roster.entries:
         try:
             series = _load_cached(config, entry)
-        except (FetchError, market_data.FormatError) as exc:
+        except (FetchError, market_data.FormatError,
+                market_data.ValidationError) as exc:
             failures.append({"ticker": entry.ticker, "error": str(exc)})
             print(f"{entry.ticker}: FAILED ({exc})", file=sys.stderr)
             continue

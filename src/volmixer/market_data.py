@@ -219,11 +219,17 @@ def parse_chart_json(payload, ticker: str) -> FetchResult:
         raise FormatError(f"{ticker}: chart JSON missing {exc}") from exc
     if not timestamps:
         raise EmptyDataError(f"{ticker}: no data points in response")
+    n = len(timestamps)
+    columns = []
+    for key in ("open", "high", "low", "close", "volume"):
+        column = quote.get(key, [None] * n)    # a missing column drops every row
+        if not isinstance(column, list) or len(column) != n:
+            raise FormatError(f"{ticker}: quote '{key}' is not a list of {n} "
+                              f"values")
+        columns.append(column)
     rows = []
     dropped = 0
-    for i, ts in enumerate(timestamps):
-        fields = [quote.get(k, [None] * len(timestamps))[i]
-                  for k in ("open", "high", "low", "close", "volume")]
+    for ts, *fields in zip(timestamps, *columns):
         if any(v is None for v in fields):
             dropped += 1
             continue
@@ -404,9 +410,10 @@ def make_windows(values: np.ndarray, lookback: int, horizon: int,
                           f"horizon {horizon}")
     if stride < 1:
         raise ValidationError(f"stride must be >= 1, got {stride}")
-    starts = range(0, total - lookback - horizon + 1, stride)
-    x = np.stack([values[i:i + lookback] for i in starts])
-    y = np.stack([values[i + lookback:i + lookback + horizon, 0] for i in starts])
+    spans = np.lib.stride_tricks.sliding_window_view(
+        values, lookback + horizon, axis=0)[::stride]     # (N, C, P + F)
+    x = spans[:, :, :lookback].transpose(0, 2, 1).copy()
+    y = spans[:, 0, lookback:].copy()
     return WindowedDataset(x=x, y=y, lookback=lookback, horizon=horizon,
                            channels=values.shape[1],
                            dates=list(dates) if dates else [])

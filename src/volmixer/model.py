@@ -125,13 +125,6 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def _time_linear(x: Tensor, weight: Tensor, bias: Optional[Tensor]) -> Tensor:
-    """Linear map along the time axis, shared across channels."""
-    xt = ad.transpose_last2(x)              # (..., d, T)
-    yt = ad.linear(xt, weight, bias)        # (..., d, T')
-    return ad.transpose_last2(yt)
-
-
 class TimeMixerModel:
     """Forecaster with deterministic seeded initialization.
 
@@ -190,12 +183,12 @@ class TimeMixerModel:
             seasonal.append(se)
             trend.append(tr)
         for m in range(1, cfg.num_scales + 1):
-            mixed = _time_linear(seasonal[m - 1], p[f"{pre}.bottom_up{m}.W"],
-                                 p[f"{pre}.bottom_up{m}.b"])
+            mixed = ad.time_linear(seasonal[m - 1], p[f"{pre}.bottom_up{m}.W"],
+                                   p[f"{pre}.bottom_up{m}.b"])
             seasonal[m] = ad.add(seasonal[m], mixed)
         for m in range(cfg.num_scales - 1, -1, -1):
-            mixed = _time_linear(trend[m + 1], p[f"{pre}.top_down{m}.W"],
-                                 p[f"{pre}.top_down{m}.b"])
+            mixed = ad.time_linear(trend[m + 1], p[f"{pre}.top_down{m}.W"],
+                                   p[f"{pre}.top_down{m}.b"])
             trend[m] = ad.add(trend[m], mixed)
         out = []
         for m, x in enumerate(scales):
@@ -214,7 +207,7 @@ class TimeMixerModel:
             raise ad.ShapeError(f"scale ladder {got} != expected {expected}")
         total: Optional[Tensor] = None
         for m, x in enumerate(scales):
-            pred = _time_linear(x, self.params[f"head.pred{m}.W"], None)
+            pred = ad.time_linear(x, self.params[f"head.pred{m}.W"])
             total = pred if total is None else ad.add(total, pred)
         return total
 

@@ -161,19 +161,23 @@ def train(model: TimeMixerModel, dataset: WindowedDataset,
             xb, yb = _normalized_batch(x_train[idx], y_train[idx])
             optimizer.zero_grads()
             tape = Tape()
-            with tape:
-                pred = model.forward_normalized(xb)
-                loss = mse_loss(pred, Tensor(yb))
-            loss_val = float(loss.values)
-            if not np.isfinite(loss_val):
+            try:
+                with tape:
+                    pred = model.forward_normalized(xb)
+                    loss = mse_loss(pred, Tensor(yb))
+                ad.backward(loss, tape)
+                optimizer.step()
+            except ad.NumericError as exc:
                 raise TrainingError(f"loss diverged at epoch {epoch}, "
-                                    f"batch {n_batches}")
-            ad.backward(loss, tape)
-            optimizer.step()
-            epoch_loss += loss_val
+                                    f"batch {n_batches}: {exc}") from exc
+            epoch_loss += float(loss.values)
             n_batches += 1
         report.train_losses.append(epoch_loss / n_batches)
-        val_loss = evaluate_split(model, x_val, y_val)
+        try:
+            val_loss = evaluate_split(model, x_val, y_val)
+        except ad.NumericError as exc:
+            raise TrainingError(f"validation loss diverged at epoch "
+                                f"{epoch}: {exc}") from exc
         report.val_losses.append(val_loss)
 
         if val_loss < report.best_val_loss:

@@ -168,6 +168,33 @@ class TestPipeline:
         csv = (tmp / "out" / "metrics.csv").read_text()
         assert "ALPHA" in csv and "BETA," not in csv
 
+    def test_run_records_divergence_per_pair(self, workspace):
+        tmp, config, fixtures = workspace
+        run_cli(config, "fetch", "--fixtures", str(fixtures))
+        with np.errstate(over="ignore"):
+            code = run_cli(config, "run", "--set", "learning_rate=1e150")
+        assert code == 3
+        manifest = json.loads((tmp / "out" / "manifest.json").read_text())
+        assert [(f["ticker"], f["horizon"]) for f in manifest["failures"]] \
+            == [("ALPHA", 4), ("BETA", 4)]
+        assert all("diverged" in f["error"] for f in manifest["failures"])
+
+    def test_run_isolates_corrupt_cache(self, workspace):
+        tmp, config, fixtures = workspace
+        run_cli(config, "fetch", "--fixtures", str(fixtures))
+        # a nonpositive close price fails CSV validation for BETA only
+        beta = next((tmp / "data").glob("BETA_*.csv"))
+        lines = beta.read_text().strip().split("\n")
+        fields = lines[5].split(",")
+        fields[4] = "-1.0"
+        lines[5] = ",".join(fields)
+        beta.write_text("\n".join(lines) + "\n")
+        assert run_cli(config, "run") == 3
+        manifest = json.loads((tmp / "out" / "manifest.json").read_text())
+        assert [f["ticker"] for f in manifest["failures"]] == ["BETA"]
+        csv = (tmp / "out" / "metrics.csv").read_text()
+        assert "ALPHA," in csv and "BETA" not in csv
+
     def test_report_regenerates_markdown(self, workspace, capsys):
         tmp, config, fixtures = workspace
         run_cli(config, "fetch", "--fixtures", str(fixtures))

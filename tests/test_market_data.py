@@ -88,6 +88,27 @@ class TestChartParsing:
         with pytest.raises(EmptyDataError):
             md.parse_chart_json(json.dumps(payload), "X")
 
+    def test_missing_column_drops_every_row(self):
+        payload = chart_payload(["2020-01-02"], {"open": [1], "high": [2],
+                                                 "low": [0.5], "close": [1.5]})
+        with pytest.raises(EmptyDataError):
+            md.parse_chart_json(json.dumps(payload), "X")
+
+    def test_short_column_rejected(self):
+        payload = chart_payload(
+            ["2020-01-02", "2020-01-03"],
+            {"open": [1, 1], "high": [2, 2], "low": [0.5, 0.5],
+             "close": [1.5], "volume": [10, 10]})
+        with pytest.raises(FormatError, match="close"):
+            md.parse_chart_json(json.dumps(payload), "X")
+
+    def test_non_list_column_rejected(self):
+        payload = chart_payload(
+            ["2020-01-02"], {"open": [1], "high": 2, "low": [0.5],
+                             "close": [1.5], "volume": [10]})
+        with pytest.raises(FormatError, match="high"):
+            md.parse_chart_json(json.dumps(payload), "X")
+
 
 class TestFetch:
     def test_fixture_fetch_aapl_span(self, tmp_path):
@@ -189,6 +210,7 @@ class TestMakeWindows:
     def test_exact_boundary(self):
         ds = md.make_windows(np.arange(6.0), lookback=4, horizon=2)
         assert len(ds) == 1
+        assert ds.x.flags.writeable and ds.y.flags.writeable
 
     def test_too_short(self):
         with pytest.raises(LengthError):
@@ -197,6 +219,19 @@ class TestMakeWindows:
     def test_stride(self):
         ds = md.make_windows(np.arange(20.0), lookback=4, horizon=2, stride=3)
         assert len(ds) == math.floor((20 - 4 - 2) / 3) + 1
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_matches_list_stack_reference(self, rng, stride, channels):
+        values = rng.normal(size=(23, channels))
+        ds = md.make_windows(values, lookback=5, horizon=3, stride=stride)
+        starts = range(0, 23 - 5 - 3 + 1, stride)
+        x = np.stack([values[i:i + 5] for i in starts])
+        y = np.stack([values[i + 5:i + 8, 0] for i in starts])
+        for got, expected in ((ds.x, x), (ds.y, y)):
+            assert got.flags.c_contiguous and got.flags.writeable
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestSplit:

@@ -292,6 +292,23 @@ class TestForward:
         assert np.array_equal(outs[0], outs[1])
         assert np.array_equal(outs[1], outs[2])
 
+    def test_tape_nodes_of_default_forward(self, rng):
+        cfg = ModelConfig()
+        scales = cfg.num_scales + 1
+        # per block: decomposition (moving average, subtract) per scale, two
+        # mixing maps per halving (time_linear, add) and the residual
+        # feedforward (linear, gelu, linear, add, add) per scale
+        per_block = 2 * scales + 2 * 2 * cfg.num_scales + 5 * scales
+        # embed, pools, blocks, summed heads, output projection and reshape
+        expected = (1 + cfg.num_scales + cfg.num_blocks * per_block
+                    + scales + (scales - 1) + 2)
+        assert expected == 93
+        tape = Tape()
+        with tape:
+            TimeMixerModel(cfg).forward_normalized(
+                rng.normal(size=(2, cfg.lookback, cfg.channels)))
+        assert len(tape) == expected
+
     def test_shape_mismatch(self, rng):
         model = TimeMixerModel(ModelConfig())
         with pytest.raises(ad.ShapeError):

@@ -165,8 +165,18 @@ class TestTrain:
         ds = sine_dataset()
         model = TimeMixerModel(SMALL)
         with np.errstate(over="ignore"), \
-                pytest.raises((TrainingError, ad.NumericError)):
+                pytest.raises(TrainingError, match=r"epoch \d+, batch \d+"):
             train(model, ds, TrainConfig(max_epochs=5, patience=5,
+                                         learning_rate=1e150, seed=0))
+
+    def test_divergence_in_validation_reported(self):
+        # one batch per epoch: the first step diverges and only validation sees it
+        ds = sine_dataset()
+        model = TimeMixerModel(SMALL)
+        with np.errstate(over="ignore"), \
+                pytest.raises(TrainingError, match="validation .* epoch 0"):
+            train(model, ds, TrainConfig(max_epochs=5, patience=5,
+                                         batch_size=len(ds.train[0]),
                                          learning_rate=1e150, seed=0))
 
 
