@@ -19,8 +19,6 @@ import sys
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
-import numpy as np
-
 from volmixer import __version__
 from volmixer import evaluation, market_data
 from volmixer.market_data import (AssetRoster, FetchError, EmptyDataError,
@@ -158,6 +156,40 @@ def _prepare_dataset(config: RunConfig, series, horizon: int):
     return market_data.split_chronological(dataset, config.test_fraction)
 
 
+# recorded and stepped over: a ticker's load failure, then a pair's failure
+LOAD_ERRORS = (FetchError, market_data.FormatError, market_data.ValidationError)
+PAIR_ERRORS = (TrainingError, market_data.LengthError, market_data.SplitError,
+               ConfigError)
+
+
+def _record_failure(failures: list, exc: Exception, label: str, **where):
+    failures.append({**where, "error": str(exc)})
+    print(f"{label}: FAILED ({exc})", file=sys.stderr)
+
+
+def _each_pair(config: RunConfig, work) -> list[dict]:
+    """Call ``work(entry, horizon, dataset)`` for every (ticker, horizon) pair.
+
+    Each ticker's cache is loaded once. A ticker that fails to load, or a
+    pair whose dataset or ``work`` fails, is recorded and the loop goes on.
+    Returns the failures as ``{"ticker", ["horizon"], "error"}`` dicts.
+    """
+    failures = []
+    for entry in AssetRoster.from_json(config.roster).entries:
+        try:
+            series = _load_cached(config, entry)
+        except LOAD_ERRORS as exc:
+            _record_failure(failures, exc, entry.ticker, ticker=entry.ticker)
+            continue
+        for horizon in config.horizons:
+            try:
+                work(entry, horizon, _prepare_dataset(config, series, horizon))
+            except PAIR_ERRORS as exc:
+                _record_failure(failures, exc, f"{entry.ticker} F={horizon}",
+                                ticker=entry.ticker, horizon=horizon)
+    return failures
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -172,9 +204,8 @@ def cmd_fetch(config: RunConfig, fixtures=None) -> int:
         try:
             result = fetch_ohlcv(entry.ticker, entry.start, entry.end,
                                  config.endpoint, fixtures_dir=fixtures)
-        except (FetchError, EmptyDataError, market_data.FormatError) as exc:
-            print(f"{entry.ticker}: FAILED ({exc})", file=sys.stderr)
-            failures.append(entry.ticker)
+        except LOAD_ERRORS + (EmptyDataError,) as exc:
+            _record_failure(failures, exc, entry.ticker, ticker=entry.ticker)
             continue
         series = result.series
         path = cache_path(config.data_dir, entry.ticker, entry.start, entry.end)
@@ -186,119 +217,50 @@ def cmd_fetch(config: RunConfig, fixtures=None) -> int:
 
 
 def cmd_prepare(config: RunConfig) -> int:
-    roster = AssetRoster.from_json(config.roster)
-    for entry in roster.entries:
-        series = _load_cached(config, entry)
-        for horizon in config.horizons:
-            ds = _prepare_dataset(config, series, horizon)
-            print(f"{entry.ticker} F={horizon}: {len(ds)} windows, "
-                  f"train {ds.train_range}, val {ds.val_range}, "
-                  f"test {ds.test_range}")
-    return EXIT_OK
+    def work(entry, horizon, ds):
+        print(f"{entry.ticker} F={horizon}: {len(ds)} windows, "
+              f"train {ds.train_range}, val {ds.val_range}, "
+              f"test {ds.test_range}")
+    return EXIT_PARTIAL if _each_pair(config, work) else EXIT_OK
 
 
-def _train_pair(config: RunConfig, series, ticker: str, horizon: int,
-                out_dir: Path):
-    dataset = _prepare_dataset(config, series, horizon)
+def _train_pair(config: RunConfig, entry, horizon: int, dataset):
     model = TimeMixerModel(config.model_config(horizon))
     report = train(model, dataset, config.train_config())
-    stem = out_dir / f"{ticker}_F{horizon}"
+    stem = Path(config.out_dir) / f"{entry.ticker}_F{horizon}"
     model.save(stem.with_suffix(".ckpt"))
     report.write(stem.with_suffix(".train.json"))
-    return model, dataset, report
+    print(f"{entry.ticker} F={horizon}: best val "
+          f"{report.best_val_loss:.6e} at epoch {report.best_epoch} "
+          f"({report.stopping_reason})")
+    return model
 
 
 def cmd_train(config: RunConfig) -> int:
-    roster = AssetRoster.from_json(config.roster)
+    Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+    failures = _each_pair(config, lambda entry, horizon, dataset:
+                          _train_pair(config, entry, horizon, dataset))
+    return EXIT_PARTIAL if failures else EXIT_OK
+
+
+def _score_pairs(config: RunConfig, get_model) -> int:
+    """Score ``get_model(entry, horizon, dataset)`` on every pair, then write
+    the report and ``manifest.json``; shared by ``eval`` and ``run``."""
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for entry in roster.entries:
-        series = _load_cached(config, entry)
-        for horizon in config.horizons:
-            _, _, report = _train_pair(config, series, entry.ticker, horizon,
-                                       out_dir)
-            print(f"{entry.ticker} F={horizon}: best val "
-                  f"{report.best_val_loss:.6e} at epoch {report.best_epoch} "
-                  f"({report.stopping_reason})")
-    return EXIT_OK
-
-
-def cmd_eval(config: RunConfig) -> int:
-    roster = AssetRoster.from_json(config.roster)
-    out_dir = Path(config.out_dir)
     records, plots = [], {}
-    for entry in roster.entries:
-        series = _load_cached(config, entry)
-        data_range = f"{entry.start}..{entry.end}"
-        for horizon in config.horizons:
-            ckpt = out_dir / f"{entry.ticker}_F{horizon}.ckpt"
-            if not ckpt.exists():
-                raise evaluation.EvaluationError(
-                    f"missing checkpoint {ckpt}; run 'train' first")
-            model = TimeMixerModel.load(ckpt)
-            dataset = _prepare_dataset(config, series, horizon)
-            records.extend(_score_pair(model, dataset, entry.ticker, horizon,
-                                       data_range, plots))
-    evaluation.emit_report(records, out_dir, plots)
-    print(f"wrote {len(records)} records to {out_dir / 'metrics.csv'}")
-    return EXIT_OK
 
+    def work(entry, horizon, dataset):
+        model = get_model(entry, horizon, dataset)
+        pair_records, plot = evaluation.score_pair(
+            model, dataset, entry.ticker, f"{entry.start}..{entry.end}")
+        records.extend(pair_records)
+        plots[f"{entry.ticker}_F{horizon}"] = plot
 
-def _score_pair(model, dataset, ticker, horizon, data_range, plots):
-    pred = evaluation.predict_test(model, dataset)
-    _, y_test = dataset.test
-    records = [
-        evaluation.score(ticker, horizon, pred, y_test,
-                         model.config.hash(), data_range),
-        evaluation.score(f"{ticker}:persistence", horizon,
-                         evaluation.baseline_persistence(dataset.test[0], horizon),
-                         y_test, "", data_range),
-        evaluation.score(f"{ticker}:window_mean", horizon,
-                         evaluation.baseline_window_mean(dataset.test[0], horizon),
-                         y_test, "", data_range),
-    ]
-    lo, _ = dataset.test_range
-    sample_dates = ([str(d) for d in dataset.dates[lo + dataset.lookback:
-                                                   lo + dataset.lookback + horizon]]
-                    if dataset.dates else [])
-    plots[f"{ticker}_F{horizon}"] = (sample_dates, y_test[0], pred[0],
-                                     f"{ticker} F={horizon} (first test window)")
-    return records
-
-
-def cmd_run(config: RunConfig) -> int:
-    """Full sweep: prepare, train, evaluate, and report every pair.
-
-    Per-pair failures are isolated and recorded in the manifest; the exit
-    code signals partial failure if any pair failed.
-    """
-    roster = AssetRoster.from_json(config.roster)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    records, plots, failures = [], {}, []
-    for entry in roster.entries:
-        try:
-            series = _load_cached(config, entry)
-        except (FetchError, market_data.FormatError,
-                market_data.ValidationError) as exc:
-            failures.append({"ticker": entry.ticker, "error": str(exc)})
-            print(f"{entry.ticker}: FAILED ({exc})", file=sys.stderr)
-            continue
-        data_range = f"{entry.start}..{entry.end}"
-        for horizon in config.horizons:
-            try:
-                model, dataset, _ = _train_pair(config, series, entry.ticker,
-                                                horizon, out_dir)
-                records.extend(_score_pair(model, dataset, entry.ticker,
-                                           horizon, data_range, plots))
-            except (TrainingError, market_data.LengthError,
-                    market_data.SplitError, ConfigError) as exc:
-                failures.append({"ticker": entry.ticker, "horizon": horizon,
-                                 "error": str(exc)})
-                print(f"{entry.ticker} F={horizon}: FAILED ({exc})",
-                      file=sys.stderr)
+    failures = _each_pair(config, work)
     if records:
         evaluation.emit_report(records, out_dir, plots)
+        print(f"wrote {len(records)} records to {out_dir / 'metrics.csv'}")
     manifest = {
         "config": asdict(config),
         "code_version": _code_version(),
@@ -311,6 +273,29 @@ def cmd_run(config: RunConfig) -> int:
     if not records:
         raise ValidationFailure("no (ticker, horizon) pair produced results")
     return EXIT_OK
+
+
+def _load_checkpoint(config: RunConfig, entry, horizon: int):
+    ckpt = Path(config.out_dir) / f"{entry.ticker}_F{horizon}.ckpt"
+    if not ckpt.exists():
+        raise evaluation.EvaluationError(
+            f"missing checkpoint {ckpt}; run 'train' first")
+    return TimeMixerModel.load(ckpt)
+
+
+def cmd_eval(config: RunConfig) -> int:
+    return _score_pairs(config, lambda entry, horizon, _:
+                        _load_checkpoint(config, entry, horizon))
+
+
+def cmd_run(config: RunConfig) -> int:
+    """Full sweep: prepare, train, evaluate, and report every pair.
+
+    Per-pair failures are isolated and recorded in the manifest; the exit
+    code signals partial failure if any pair failed.
+    """
+    return _score_pairs(config, lambda entry, horizon, dataset:
+                        _train_pair(config, entry, horizon, dataset))
 
 
 def cmd_report(config: RunConfig) -> int:

@@ -111,21 +111,28 @@ def score(ticker: str, horizon: int, pred: np.ndarray, target: np.ndarray,
                          data_range=data_range)
 
 
-def evaluate_asset(models: dict[int, TimeMixerModel],
-                   datasets: dict[int, WindowedDataset],
-                   ticker: str, data_range: str = "") -> list[MetricsRecord]:
-    """One record per horizon; forecasts are denormalized before scoring."""
-    records = []
-    for horizon in sorted(models):
-        if horizon not in datasets:
-            raise EvaluationError(f"{ticker}: no dataset for horizon {horizon}")
-        model = models[horizon]
-        dataset = datasets[horizon]
-        pred = predict_test(model, dataset)
-        _, y_test = dataset.test
-        records.append(score(ticker, horizon, pred, y_test,
-                             model.config.hash(), data_range))
-    return records
+def score_pair(model: TimeMixerModel, dataset: WindowedDataset, ticker: str,
+               data_range: str = "") -> tuple[list[MetricsRecord], tuple]:
+    """Score one (ticker, horizon) pair on its test split.
+
+    Returns the model's, persistence's and window mean's records, and the
+    first test window as a ``(dates, actual, predicted, title)`` plot for
+    :func:`emit_report`. Forecasts are denormalized before scoring.
+    """
+    horizon = dataset.horizon
+    pred = predict_test(model, dataset)
+    x_test, y_test = dataset.test
+    records = [
+        score(ticker, horizon, pred, y_test, model.config.hash(), data_range),
+        score(f"{ticker}:persistence", horizon,
+              baseline_persistence(x_test, horizon), y_test, "", data_range),
+        score(f"{ticker}:window_mean", horizon,
+              baseline_window_mean(x_test, horizon), y_test, "", data_range),
+    ]
+    first = dataset.test_range[0] + dataset.lookback
+    dates = [str(d) for d in dataset.dates[first:first + horizon]]
+    return records, (dates, y_test[0], pred[0],
+                     f"{ticker} F={horizon} (first test window)")
 
 
 # ---------------------------------------------------------------------------

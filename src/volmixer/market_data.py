@@ -203,7 +203,9 @@ def parse_chart_json(payload, ticker: str) -> FetchResult:
     """Parse a chart-API JSON document into a sorted, validated series.
 
     Days with any missing field are dropped and counted. Unsorted days are
-    tolerated and sorted; duplicate days are an error.
+    tolerated and sorted; duplicate days are an error. Raises
+    ``FormatError`` for a malformed document, ``EmptyDataError`` when no
+    row survives and ``ValidationError`` when rows break series invariants.
     """
     if isinstance(payload, (str, bytes)):
         try:
@@ -211,12 +213,19 @@ def parse_chart_json(payload, ticker: str) -> FetchResult:
         except json.JSONDecodeError as exc:
             raise FormatError(f"{ticker}: invalid JSON: {exc.msg}",
                               offset=exc.pos) from exc
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{ticker}: payload is not UTF-8 text: "
+                              f"{exc.reason}", offset=exc.start) from exc
     try:
         result = payload["chart"]["result"][0]
         timestamps = result["timestamp"]
         quote = result["indicators"]["quote"][0]
     except (KeyError, IndexError, TypeError) as exc:
         raise FormatError(f"{ticker}: chart JSON missing {exc}") from exc
+    if not isinstance(timestamps, list):
+        raise FormatError(f"{ticker}: 'timestamp' is not a list")
+    if not isinstance(quote, dict):
+        raise FormatError(f"{ticker}: 'quote' is not an object")
     if not timestamps:
         raise EmptyDataError(f"{ticker}: no data points in response")
     n = len(timestamps)
@@ -226,16 +235,24 @@ def parse_chart_json(payload, ticker: str) -> FetchResult:
         if not isinstance(column, list) or len(column) != n:
             raise FormatError(f"{ticker}: quote '{key}' is not a list of {n} "
                               f"values")
-        columns.append(column)
+        cast = int if key == "volume" else float
+        try:
+            columns.append([None if v is None else cast(v) for v in column])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise FormatError(f"{ticker}: quote '{key}' holds a non-numeric "
+                              f"value ({exc})") from exc
     rows = []
     dropped = 0
     for ts, *fields in zip(timestamps, *columns):
         if any(v is None for v in fields):
             dropped += 1
             continue
-        day = datetime.fromtimestamp(ts, tz=timezone.utc).date()
-        o, h, l, c, v = fields
-        rows.append(OhlcvRow(day, float(o), float(h), float(l), float(c), int(v)))
+        try:
+            day = datetime.fromtimestamp(ts, tz=timezone.utc).date()
+        except (TypeError, ValueError, OverflowError, OSError) as exc:
+            raise FormatError(f"{ticker}: 'timestamp' value {ts!r} is not a "
+                              f"valid time ({exc})") from exc
+        rows.append(OhlcvRow(day, *fields))
     if not rows:
         raise EmptyDataError(f"{ticker}: all rows dropped")
     rows.sort(key=lambda r: r.day)

@@ -276,13 +276,22 @@ class TimeMixerModel:
                              f"{header['format_version']}")
         config = ModelConfig(**header["config"])
         expected = parameter_shapes(config)
+        found = [(entry["name"], tuple(entry["shape"]))
+                 for entry in header["manifest"]]
+        if sorted(found) != sorted(expected.items()):
+            mismatched = sorted(set(found) ^ set(expected.items()))
+            raise ValueError(f"{path}: checkpoint manifest does not match "
+                             f"config: {len(found)} entries for "
+                             f"{len(expected)} parameters, mismatched "
+                             f"{mismatched}")
+        size = sum(int(np.prod(shape)) for shape in expected.values())
+        if len(payload) != 8 * size:
+            raise ValueError(f"{path}: checkpoint payload holds "
+                             f"{len(payload)} bytes, expected {8 * size}")
         flat = np.frombuffer(payload, dtype="<f8")
         model = cls(config)
         for entry in header["manifest"]:
             name, shape = entry["name"], tuple(entry["shape"])
-            if name not in expected or expected[name] != shape:
-                raise ValueError(f"checkpoint manifest entry '{name}' with "
-                                 f"shape {shape} does not match config")
             n = int(np.prod(shape))
             chunk = flat[entry["offset"]:entry["offset"] + n]
             model.params[name].values = chunk.reshape(shape).copy()

@@ -34,7 +34,6 @@ class TrainConfig:
     adam_betas: tuple[float, float] = (0.9, 0.999)
     adam_eps: float = 1e-8
     seed: int = 0
-    shuffle: bool = True
 
     def validate(self) -> None:
         if self.batch_size < 1 or self.max_epochs < 1:
@@ -153,8 +152,7 @@ def train(model: TimeMixerModel, dataset: WindowedDataset,
     t0 = time.perf_counter()
 
     for epoch in range(config.max_epochs):
-        order = (rng.permutation(x_train.shape[0]) if config.shuffle
-                 else np.arange(x_train.shape[0]))
+        order = rng.permutation(x_train.shape[0])
         epoch_loss, n_batches = 0.0, 0
         for lo in range(0, order.size, config.batch_size):
             idx = order[lo:lo + config.batch_size]

@@ -84,6 +84,18 @@ class TestFetch:
         assert run_cli(config, "fetch", "--fixtures", str(fixtures)) == 3
         assert len(list((tmp / "data").glob("*.csv"))) == 1
 
+    def test_invalid_ticker_does_not_abort_fetch(self, workspace, capsys):
+        tmp, config, fixtures = workspace
+        # a duplicate day fails series validation for ALPHA only
+        alpha = json.loads((fixtures / "ALPHA.json").read_text())
+        ts = alpha["chart"]["result"][0]["timestamp"]
+        ts[1] = ts[0]
+        (fixtures / "ALPHA.json").write_text(json.dumps(alpha))
+        assert run_cli(config, "fetch", "--fixtures", str(fixtures)) == 3
+        assert [p.name.split("_")[0] for p in (tmp / "data").glob("*.csv")] \
+            == ["BETA"]
+        assert "ALPHA: FAILED" in capsys.readouterr().err
+
     def test_empty_roster_is_validation_error(self, workspace):
         tmp, config, fixtures = workspace
         (tmp / "roster.json").write_text("[]")
@@ -194,6 +206,31 @@ class TestPipeline:
         assert [f["ticker"] for f in manifest["failures"]] == ["BETA"]
         csv = (tmp / "out" / "metrics.csv").read_text()
         assert "ALPHA," in csv and "BETA" not in csv
+
+    def test_every_command_isolates_corrupt_cache(self, workspace, capsys):
+        tmp, config, fixtures = workspace
+        run_cli(config, "fetch", "--fixtures", str(fixtures))
+        # a nonpositive close price fails CSV validation for ALPHA, the
+        # first ticker; BETA must still be prepared, trained and scored
+        alpha = next((tmp / "data").glob("ALPHA_*.csv"))
+        lines = alpha.read_text().strip().split("\n")
+        fields = lines[5].split(",")
+        fields[4] = "-1.0"
+        lines[5] = ",".join(fields)
+        alpha.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli(config, "prepare") == 3
+        out, err = capsys.readouterr()
+        assert "BETA F=4:" in out and "ALPHA: FAILED" in err
+        assert run_cli(config, "train") == 3
+        assert [p.name for p in (tmp / "out").glob("*.ckpt")] \
+            == ["BETA_F4.ckpt"]
+        assert run_cli(config, "eval") == 3
+        manifest = json.loads((tmp / "out" / "manifest.json").read_text())
+        assert [f["ticker"] for f in manifest["failures"]] == ["ALPHA"]
+        assert manifest["records"] == 3
+        csv = (tmp / "out" / "metrics.csv").read_text()
+        assert "BETA," in csv and "ALPHA" not in csv
 
     def test_report_regenerates_markdown(self, workspace, capsys):
         tmp, config, fixtures = workspace

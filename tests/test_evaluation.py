@@ -1,4 +1,5 @@
 import math
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -138,7 +139,8 @@ class TestEvaluateAsset:
         rng = np.random.default_rng(seed)
         sig = 0.2 + 0.05 * np.sin(np.arange(300) / 10) \
             + 0.01 * rng.normal(size=300)
-        ds = split_chronological(make_windows(sig, 16, horizon))
+        days = [date(2020, 1, 1) + timedelta(days=i) for i in range(300)]
+        ds = split_chronological(make_windows(sig, 16, horizon, dates=days))
         model = TimeMixerModel(ModelConfig(lookback=16, horizon=horizon,
                                            d_model=4, num_blocks=1,
                                            num_scales=1, decomp_kernel=5,
@@ -146,22 +148,31 @@ class TestEvaluateAsset:
         return model, ds
 
     def test_one_record_per_horizon(self):
-        models, datasets = {}, {}
         for horizon in (4, 8):
-            models[horizon], datasets[horizon] = self.make_pair(horizon)
-        records = ev.evaluate_asset(models, datasets, "TEST", "2020..2021")
-        assert [r.horizon for r in records] == [4, 8]
-        assert all(r.ticker == "TEST" for r in records)
-        assert all(r.n_samples == len(datasets[r.horizon].test[0])
-                   for r in records)
+            model, ds = self.make_pair(horizon)
+            records, _ = ev.score_pair(model, ds, "TEST", "2020..2021")
+            assert [r.ticker for r in records] == \
+                ["TEST", "TEST:persistence", "TEST:window_mean"]
+            assert all(r.horizon == horizon for r in records)
+            assert all(r.n_samples == len(ds.test[0]) for r in records)
+            assert all(r.data_range == "2020..2021" for r in records)
+            assert records[0].model_config_hash == model.config.hash()
 
     def test_deterministic(self):
         model, ds = self.make_pair(4)
-        a = ev.evaluate_asset({4: model}, {4: ds}, "T")
-        b = ev.evaluate_asset({4: model}, {4: ds}, "T")
+        a, plot_a = ev.score_pair(model, ds, "T")
+        b, plot_b = ev.score_pair(model, ds, "T")
         assert a == b
+        assert plot_a[3] == plot_b[3]
+        np.testing.assert_array_equal(plot_a[2], plot_b[2])
 
-    def test_missing_dataset(self):
+    def test_plot_is_first_test_window(self):
         model, ds = self.make_pair(4)
-        with pytest.raises(ev.EvaluationError):
-            ev.evaluate_asset({4: model}, {}, "T")
+        first = ds.test_range[0] + 16
+        _, (dates, actual, predicted, title) = ev.score_pair(model, ds, "T")
+        assert dates == [str(d) for d in ds.dates[first:first + 4]]
+        assert len(dates) == 4
+        np.testing.assert_array_equal(actual, ds.test[1][0])
+        np.testing.assert_array_equal(predicted,
+                                      ev.predict_test(model, ds)[0])
+        assert title == "T F=4 (first test window)"

@@ -4,6 +4,8 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES
 from volmixer import market_data as md
@@ -82,6 +84,10 @@ class TestChartParsing:
         with pytest.raises(FormatError, match="byte offset"):
             md.parse_chart_json('{"chart": nope}', "X")
 
+    def test_undecodable_bytes_report_offset(self):
+        with pytest.raises(FormatError, match="byte offset 11"):
+            md.parse_chart_json(b'{"chart": "\xff"}', "X")
+
     def test_empty_result(self):
         payload = chart_payload([], {"open": [], "high": [], "low": [],
                                      "close": [], "volume": []})
@@ -109,6 +115,51 @@ class TestChartParsing:
         with pytest.raises(FormatError, match="high"):
             md.parse_chart_json(json.dumps(payload), "X")
 
+    @pytest.mark.parametrize("field, edit", [
+        ("timestamp", lambda r: r.update(timestamp=5)),
+        ("quote", lambda r: r["indicators"].update(quote=[[1, 2]])),
+        ("timestamp", lambda r: r.update(timestamp=["2020-01-02"])),
+        ("close", lambda r: r["indicators"]["quote"][0].update(close=["x"])),
+        ("timestamp", lambda r: r.update(timestamp=[1e20])),
+    ], ids=["non_list_timestamp", "non_dict_quote", "string_timestamp",
+            "non_numeric_price", "overflowing_timestamp"])
+    def test_malformed_field_is_format_error(self, field, edit):
+        payload = chart_payload(["2020-01-02"], {
+            "open": [1], "high": [2], "low": [0.5], "close": [1.5],
+            "volume": [10]})
+        edit(payload["chart"]["result"][0])
+        with pytest.raises(FormatError, match=field):
+            md.parse_chart_json(payload, "X")
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.data())
+    def test_raises_only_documented_errors(self, data):
+        value = st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text(max_size=4),
+            lambda kids: st.lists(kids, max_size=3)
+            | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+            max_leaves=6)
+        # half the payloads may hold an arbitrary JSON value at any node
+        arbitrary = data.draw(st.booleans())
+        n = data.draw(st.integers(0, 4))
+
+        def node(strategy):
+            return strategy | value if arbitrary else strategy
+
+        def column(element):
+            return node(st.lists(node(element), min_size=n, max_size=n))
+
+        quote = node(st.fixed_dictionaries({
+            key: column(st.floats(-1, 1e3))
+            for key in ("open", "high", "low", "close", "volume")}))
+        payload = {"chart": {"result": [{
+            "timestamp": data.draw(column(st.integers(-2**36, 2**36))),
+            "indicators": {"quote": [data.draw(quote)]}}]}}
+        try:
+            md.parse_chart_json(payload, "X")
+        except (FormatError, EmptyDataError, ValidationError):
+            pass
 
 class TestFetch:
     def test_fixture_fetch_aapl_span(self, tmp_path):

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -357,6 +360,27 @@ class TestCheckpoint:
         blob[idx:idx + 15] = b'"shape": [1, 5]'
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError):
+            TimeMixerModel.load(path)
+
+    def test_manifest_missing_parameter_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        TimeMixerModel(TINY).save(path)
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12:12 + hlen])
+        dropped = header["manifest"].pop(0)
+        assert dropped["name"] == "embed.W"
+        raw = json.dumps(header).encode()
+        path.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw
+                         + blob[12 + hlen:])
+        with pytest.raises(ValueError, match="embed.W"):
+            TimeMixerModel.load(path)
+
+    def test_truncated_payload_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        TimeMixerModel(TINY).save(path)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ValueError, match="payload"):
             TimeMixerModel.load(path)
 
     def test_bad_magic(self, tmp_path):
