@@ -14,7 +14,7 @@ FIXTURE = Path(__file__).resolve().parent.parent / "tests" / "fixtures" \
 
 series = md.parse_ohlcv_csv(FIXTURE.read_text(), "AAPL")
 print(f"{series.ticker}: {len(series)} daily bars, "
-      f"{series.rows[0].day} .. {series.rows[-1].day}")
+      f"{series.days[0]} .. {series.days[-1]}")
 
 vol = md.volatility_series(series)
 print(f"volatility series: {vol.sigma.size} points, "

@@ -24,7 +24,7 @@ from volmixer import evaluation, market_data
 from volmixer.market_data import (AssetRoster, FetchError, EmptyDataError,
                                   cache_path, fetch_ohlcv, parse_ohlcv_csv,
                                   serialize_ohlcv_csv)
-from volmixer.model import ModelConfig, TimeMixerModel
+from volmixer.model import CheckpointError, ModelConfig, TimeMixerModel
 from volmixer.multiscale import ConfigError
 from volmixer.training import TrainConfig, TrainingError, train
 
@@ -144,7 +144,7 @@ def _load_cached(config: RunConfig, entry) -> market_data.OhlcvSeries:
     if not path.exists():
         raise FetchError(f"{entry.ticker}: no cached data at {path}; "
                          f"run 'fetch' first")
-    return parse_ohlcv_csv(path.read_text(), ticker=entry.ticker)
+    return parse_ohlcv_csv(path.read_bytes(), ticker=entry.ticker)
 
 
 def _prepare_dataset(config: RunConfig, series, horizon: int):
@@ -159,7 +159,7 @@ def _prepare_dataset(config: RunConfig, series, horizon: int):
 # recorded and stepped over: a ticker's load failure, then a pair's failure
 LOAD_ERRORS = (FetchError, market_data.FormatError, market_data.ValidationError)
 PAIR_ERRORS = (TrainingError, market_data.LengthError, market_data.SplitError,
-               ConfigError)
+               ConfigError, CheckpointError)
 
 
 def _record_failure(failures: list, exc: Exception, label: str, **where):
@@ -211,7 +211,7 @@ def cmd_fetch(config: RunConfig, fixtures=None) -> int:
         path = cache_path(config.data_dir, entry.ticker, entry.start, entry.end)
         path.write_text(serialize_ohlcv_csv(series))
         print(f"{entry.ticker}: {len(series)} rows "
-              f"({series.rows[0].day} .. {series.rows[-1].day}), "
+              f"({series.days[0]} .. {series.days[-1]}), "
               f"{result.dropped_rows} dropped -> {path}")
     return EXIT_PARTIAL if failures else EXIT_OK
 

@@ -53,48 +53,78 @@ class SplitError(ValueError):
     """Requested split leaves some partition empty."""
 
 
-@dataclass(frozen=True)
-class OhlcvRow:
-    day: date
-    open: float
-    high: float
-    low: float
-    close: float
-    volume: int
+PRICE_COLUMNS = ("open", "high", "low", "close")
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
 
-@dataclass
+def _valid_price(value):
+    """The price rule: finite and strictly positive. Works elementwise on
+    arrays; NaN and +-inf fail it."""
+    return (value > 0) & (value < math.inf)
+
+
+@dataclass(eq=False)
 class OhlcvSeries:
+    """Daily bars held as columns, one element per day.
+
+    ``days`` is ``datetime64[D]``, strictly increasing; the four price
+    columns are float64, finite and positive; ``volume`` is int64 and
+    nonnegative. Constructor arguments are converted to those dtypes.
+    """
     ticker: str
-    rows: list[OhlcvRow]
+    days: np.ndarray
+    open: np.ndarray
+    high: np.ndarray
+    low: np.ndarray
+    close: np.ndarray
+    volume: np.ndarray
 
     def __post_init__(self):
-        for i, row in enumerate(self.rows):
-            if min(row.open, row.high, row.low, row.close) <= 0:
+        self.days = np.asarray(self.days, dtype="datetime64[D]")
+        for name in PRICE_COLUMNS:
+            setattr(self, name, np.asarray(getattr(self, name),
+                                           dtype=np.float64))
+        self.volume = np.asarray(self.volume, dtype=np.int64)
+        n = len(self.days)
+        if any(getattr(self, name).shape != (n,)
+               for name in ("days", *PRICE_COLUMNS, "volume")):
+            raise ValidationError(f"{self.ticker}: columns must be 1-D and "
+                                  f"of equal length")
+        prices = np.stack([getattr(self, name) for name in PRICE_COLUMNS])
+        increasing = np.ones(n, dtype=bool)
+        increasing[1:] = np.diff(self.days) > np.timedelta64(0, "D")
+        for ok, problem in (
+                (_valid_price(prices).all(axis=0),
+                 "non-finite or nonpositive price in"),
+                (self.volume >= 0, "negative volume in"),
+                (increasing, "dates not strictly increasing at")):
+            if not ok.all():
+                i = int(np.argmin(ok))
                 raise ValidationError(
-                    f"{self.ticker}: nonpositive price in row {i} ({row.day})")
-            if row.volume < 0:
-                raise ValidationError(
-                    f"{self.ticker}: negative volume in row {i} ({row.day})")
-            if i > 0 and row.day <= self.rows[i - 1].day:
-                raise ValidationError(
-                    f"{self.ticker}: dates not strictly increasing at row {i} "
-                    f"({row.day})")
+                    f"{self.ticker}: {problem} row {i} ({self.days[i]})")
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.days)
 
-    @property
-    def dates(self) -> list[date]:
-        return [r.day for r in self.rows]
+    def take(self, index) -> "OhlcvSeries":
+        """The rows selected by an integer index array or a boolean mask."""
+        return OhlcvSeries(self.ticker, self.days[index],
+                           *(getattr(self, name)[index]
+                             for name in PRICE_COLUMNS),
+                           self.volume[index])
 
-    @property
-    def closes(self) -> np.ndarray:
-        return np.array([r.close for r in self.rows])
 
-    @property
-    def volumes(self) -> np.ndarray:
-        return np.array([r.volume for r in self.rows], dtype=np.float64)
+def _series_from_rows(ticker: str, rows: list[tuple]) -> OhlcvSeries:
+    """Build a series from ``(day ordinal, open, high, low, close, volume)``
+    tuples, in order."""
+    ordinals, *prices, volumes = zip(*rows) if rows else [()] * 6
+    try:
+        volume = np.array(volumes, dtype=np.int64)
+    except OverflowError as exc:
+        raise FormatError(f"{ticker}: volume outside the int64 range") from exc
+    days = (np.array(ordinals, dtype=np.int64)
+            - _EPOCH_ORDINAL).astype("datetime64[D]")
+    return OhlcvSeries(ticker, days, *prices, volume)
 
 
 @dataclass
@@ -150,9 +180,18 @@ class AssetRoster:
 # ---------------------------------------------------------------------------
 
 def parse_ohlcv_csv(text, ticker: str = "") -> OhlcvSeries:
-    """Parse the cache CSV format. Header is exact and case-sensitive."""
+    """Parse the cache CSV format. Header is exact and case-sensitive.
+
+    Raises ``FormatError`` for undecodable bytes or a malformed line and
+    ``ValidationError`` for a line whose price breaks the price rule or rows
+    that break the series invariants.
+    """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{ticker}: cache is not UTF-8 text: "
+                              f"{exc.reason}", offset=exc.start) from exc
     lines = text.split("\n")
     if not lines or lines[0].strip("\r") != CSV_HEADER:
         raise FormatError(f"expected header '{CSV_HEADER}', got "
@@ -166,23 +205,25 @@ def parse_ohlcv_csv(text, ticker: str = "") -> OhlcvSeries:
         if len(parts) != 6:
             raise FormatError(f"line {lineno}: expected 6 fields, got {len(parts)}")
         try:
-            day = date.fromisoformat(parts[0])
+            day = date.fromisoformat(parts[0]).toordinal()
             o, h, l, c = (float(p) for p in parts[1:5])
             vol = int(parts[5])
         except ValueError as exc:
             raise FormatError(f"line {lineno}: {exc}") from exc
-        if min(o, h, l, c) <= 0:
-            raise ValidationError(f"line {lineno}: nonpositive price")
-        rows.append(OhlcvRow(day, o, h, l, c, vol))
-    return OhlcvSeries(ticker=ticker, rows=rows)
+        if not (_valid_price(o) and _valid_price(h) and _valid_price(l)
+                and _valid_price(c)):
+            raise ValidationError(f"line {lineno}: non-finite or nonpositive "
+                                  f"price")
+        rows.append((day, o, h, l, c, vol))
+    return _series_from_rows(ticker, rows)
 
 
 def serialize_ohlcv_csv(series: OhlcvSeries) -> str:
-    lines = [CSV_HEADER]
-    for r in series.rows:
-        lines.append(f"{r.day.isoformat()},{float(r.open)!r},{float(r.high)!r},"
-                     f"{float(r.low)!r},{float(r.close)!r},{int(r.volume)}")
-    return "\n".join(lines) + "\n"
+    rows = zip(np.datetime_as_string(series.days).tolist(),
+               *(getattr(series, name).tolist() for name in PRICE_COLUMNS),
+               series.volume.tolist())
+    return "\n".join([CSV_HEADER, *(f"{d},{o!r},{h!r},{l!r},{c!r},{v}"
+                                     for d, o, h, l, c, v in rows)]) + "\n"
 
 
 def cache_path(data_dir, ticker: str, start: date, end: date) -> Path:
@@ -252,11 +293,11 @@ def parse_chart_json(payload, ticker: str) -> FetchResult:
         except (TypeError, ValueError, OverflowError, OSError) as exc:
             raise FormatError(f"{ticker}: 'timestamp' value {ts!r} is not a "
                               f"valid time ({exc})") from exc
-        rows.append(OhlcvRow(day, *fields))
+        rows.append((day.toordinal(), *fields))
     if not rows:
         raise EmptyDataError(f"{ticker}: all rows dropped")
-    rows.sort(key=lambda r: r.day)
-    return FetchResult(OhlcvSeries(ticker=ticker, rows=rows), dropped)
+    rows.sort(key=lambda r: r[0])
+    return FetchResult(_series_from_rows(ticker, rows), dropped)
 
 
 def fetch_ohlcv(ticker: str, start: date, end: date, endpoint: str,
@@ -298,11 +339,12 @@ def fetch_ohlcv(ticker: str, start: date, end: date, endpoint: str,
         else:
             raise FetchError(f"{ticker}: fetch failed after {retries} "
                              f"attempts: {last_exc}") from last_exc
-    kept = [r for r in result.series.rows if start <= r.day <= end]
-    if not kept:
+    days = result.series.days
+    kept = result.series.take((days >= np.datetime64(start))
+                              & (days <= np.datetime64(end)))
+    if not len(kept):
         raise EmptyDataError(f"{ticker}: no rows inside [{start}, {end}]")
-    return FetchResult(OhlcvSeries(ticker=ticker, rows=kept),
-                       result.dropped_rows)
+    return FetchResult(kept, result.dropped_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +356,9 @@ def compute_log_returns(closes) -> np.ndarray:
     closes = np.asarray(closes, dtype=np.float64)
     if closes.size < 2:
         raise LengthError(f"need at least 2 prices, got {closes.size}")
-    if np.any(closes <= 0):
-        raise ValidationError("log returns require strictly positive prices")
+    if not np.all(_valid_price(closes)):
+        raise ValidationError("log returns require finite, strictly positive "
+                              "prices")
     return np.diff(np.log(closes))
 
 
@@ -342,10 +385,10 @@ def rolling_volatility(returns, window: int = DEFAULT_VOL_WINDOW,
 def volatility_series(series: OhlcvSeries, window: int = DEFAULT_VOL_WINDOW,
                       periods_per_year: int = TRADING_DAYS_PER_YEAR
                       ) -> VolatilitySeries:
-    returns = compute_log_returns(series.closes)
+    returns = compute_log_returns(series.close)
     sigma = rolling_volatility(returns, window, periods_per_year)
     return VolatilitySeries(ticker=series.ticker,
-                            dates=series.dates[window:], sigma=sigma)
+                            dates=series.days[window:].tolist(), sigma=sigma)
 
 
 def feature_matrix(series: OhlcvSeries, window: int = DEFAULT_VOL_WINDOW,
@@ -361,9 +404,9 @@ def feature_matrix(series: OhlcvSeries, window: int = DEFAULT_VOL_WINDOW,
     vol = volatility_series(series, window, periods_per_year)
     cols = [vol.sigma]
     if covariates:
-        returns = compute_log_returns(series.closes)
+        returns = compute_log_returns(series.close)
         cols.append(returns[window - 1:])
-        cols.append(np.log1p(series.volumes[window:]))
+        cols.append(np.log1p(series.volume[window:]))
     return np.stack(cols, axis=-1), vol.dates
 
 

@@ -25,6 +25,11 @@ _FORMAT_VERSION = 1
 _STD_FLOOR = 1e-8
 
 
+class CheckpointError(ValueError):
+    """A checkpoint file is malformed: truncated, tampered with or of an
+    unsupported format version."""
+
+
 @dataclass
 class ModelConfig:
     lookback: int = 64          # past steps consumed (P)
@@ -265,12 +270,35 @@ class TimeMixerModel:
 
     @classmethod
     def load(cls, path) -> "TimeMixerModel":
+        """Read a checkpoint written by ``save``.
+
+        Raises ``CheckpointError`` for any malformed file: bad magic, a
+        truncated or undecodable header, missing or ill-typed header fields,
+        an unsupported version, a manifest that differs from the config's
+        parameters, and a payload of the wrong length.
+        """
         with open(path, "rb") as fh:
-            if fh.read(8) != _MAGIC:
-                raise ValueError(f"{path}: not a volmixer checkpoint")
-            (hlen,) = struct.unpack("<I", fh.read(4))
-            header = json.loads(fh.read(hlen))
-            payload = fh.read()
+            blob = fh.read()
+        try:
+            return cls._from_bytes(blob)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: invalid checkpoint: {exc}") from exc
+
+    @classmethod
+    def _from_bytes(cls, blob: bytes) -> "TimeMixerModel":
+        """Decode ``save``'s bytes; a malformed file raises ``ValueError``,
+        ``KeyError`` or ``TypeError``, which ``load`` turns into
+        ``CheckpointError``."""
+        if blob[:8] != _MAGIC:
+            raise ValueError("not a volmixer checkpoint")
+        if len(blob) < 12:
+            raise ValueError(f"file ends after {len(blob)} bytes, before the "
+                             f"header length")
+        (hlen,) = struct.unpack_from("<I", blob, 8)
+        if len(blob) < 12 + hlen:
+            raise ValueError(f"header of {hlen} bytes is cut off after "
+                             f"{len(blob) - 12}")
+        header = json.loads(blob[12:12 + hlen])
         if header["format_version"] != _FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint version "
                              f"{header['format_version']}")
@@ -280,19 +308,24 @@ class TimeMixerModel:
                  for entry in header["manifest"]]
         if sorted(found) != sorted(expected.items()):
             mismatched = sorted(set(found) ^ set(expected.items()))
-            raise ValueError(f"{path}: checkpoint manifest does not match "
-                             f"config: {len(found)} entries for "
-                             f"{len(expected)} parameters, mismatched "
-                             f"{mismatched}")
+            raise ValueError(f"manifest does not match config: {len(found)} "
+                             f"entries for {len(expected)} parameters, "
+                             f"mismatched {mismatched}")
         size = sum(int(np.prod(shape)) for shape in expected.values())
+        payload = blob[12 + hlen:]
         if len(payload) != 8 * size:
-            raise ValueError(f"{path}: checkpoint payload holds "
-                             f"{len(payload)} bytes, expected {8 * size}")
+            raise ValueError(f"payload holds {len(payload)} bytes, expected "
+                             f"{8 * size}")
         flat = np.frombuffer(payload, dtype="<f8")
         model = cls(config)
+        start = 0
         for entry in header["manifest"]:
-            name, shape = entry["name"], tuple(entry["shape"])
-            n = int(np.prod(shape))
-            chunk = flat[entry["offset"]:entry["offset"] + n]
-            model.params[name].values = chunk.reshape(shape).copy()
+            name = entry["name"]
+            if entry["offset"] != start:
+                raise ValueError(f"{name} at offset {entry['offset']}, "
+                                 f"expected {start}")
+            n = int(np.prod(expected[name]))
+            model.params[name].values = flat[start:start + n].reshape(
+                expected[name]).copy()
+            start += n
         return model

@@ -76,10 +76,11 @@ def test_criterion_2_volatility_oracle():
         mu = sum(window) / 21
         var = sum((r - mu) ** 2 for r in window) / 20
         assert abs(sigma[i] - math.sqrt(252 * var)) < 1e-12
+    days = np.datetime64("2021-07-29") + np.arange(60)
+    prices = np.full(60, 50.0)
     flat = md.volatility_series(
-        md.OhlcvSeries("FLAT", [md.OhlcvRow(
-            __import__("datetime").date.fromordinal(738000 + i),
-            50, 50, 50, 50, 1) for i in range(60)]))
+        md.OhlcvSeries("FLAT", days, prices, prices, prices, prices,
+                       np.ones(60, dtype=np.int64)))
     assert np.all(flat.sigma == 0.0)
     report(2, "brute-force match to 1e-12 on 1000 points; constant prices "
               "give exactly zero")
@@ -143,8 +144,8 @@ def test_criterion_5_learnability_beats_persistence():
 def test_criterion_6_short_horizon_beats_long_on_aapl_fixture():
     series = md.parse_ohlcv_csv(
         open(f"{FIXTURES}/AAPL_2010_2023.csv").read(), "AAPL")
-    assert series.rows[0].day.year == 2010
-    assert series.rows[-1].day.year == 2023
+    assert series.days[0].item().year == 2010
+    assert series.days[-1].item().year == 2023
     values, _ = md.feature_matrix(series)
     maes = {}
     for horizon in (12, 336):

@@ -96,6 +96,17 @@ class TestFetch:
             == ["BETA"]
         assert "ALPHA: FAILED" in capsys.readouterr().err
 
+    def test_non_finite_close_does_not_abort_fetch(self, workspace, capsys):
+        tmp, config, fixtures = workspace
+        alpha = json.loads((fixtures / "ALPHA.json").read_text())
+        alpha["chart"]["result"][0]["indicators"]["quote"][0]["close"][7] = \
+            float("nan")
+        (fixtures / "ALPHA.json").write_text(json.dumps(alpha))
+        assert run_cli(config, "fetch", "--fixtures", str(fixtures)) == 3
+        assert [p.name.split("_")[0] for p in (tmp / "data").glob("*.csv")] \
+            == ["BETA"]
+        assert "ALPHA: FAILED" in capsys.readouterr().err
+
     def test_empty_roster_is_validation_error(self, workspace):
         tmp, config, fixtures = workspace
         (tmp / "roster.json").write_text("[]")
@@ -229,6 +240,33 @@ class TestPipeline:
         manifest = json.loads((tmp / "out" / "manifest.json").read_text())
         assert [f["ticker"] for f in manifest["failures"]] == ["ALPHA"]
         assert manifest["records"] == 3
+        csv = (tmp / "out" / "metrics.csv").read_text()
+        assert "BETA," in csv and "ALPHA" not in csv
+
+    def test_undecodable_cache_fails_only_its_ticker(self, workspace, capsys):
+        tmp, config, fixtures = workspace
+        run_cli(config, "fetch", "--fixtures", str(fixtures))
+        alpha = next((tmp / "data").glob("ALPHA_*.csv"))
+        blob = bytearray(alpha.read_bytes())
+        blob[100] = 0xFF
+        alpha.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert run_cli(config, "prepare") == 3
+        out, err = capsys.readouterr()
+        assert "BETA F=4:" in out
+        assert "ALPHA: FAILED" in err and "byte offset 100" in err
+
+    def test_corrupt_checkpoint_fails_only_its_pair(self, workspace):
+        tmp, config, fixtures = workspace
+        run_cli(config, "fetch", "--fixtures", str(fixtures))
+        assert run_cli(config, "train") == 0
+        ckpt = tmp / "out" / "ALPHA_F4.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes()[:-8])
+        assert run_cli(config, "eval") == 3
+        manifest = json.loads((tmp / "out" / "manifest.json").read_text())
+        assert [(f["ticker"], f["horizon"]) for f in manifest["failures"]] \
+            == [("ALPHA", 4)]
+        assert "payload" in manifest["failures"][0]["error"]
         csv = (tmp / "out" / "metrics.csv").read_text()
         assert "BETA," in csv and "ALPHA" not in csv
 

@@ -10,15 +10,37 @@ from hypothesis import strategies as st
 from conftest import FIXTURES
 from volmixer import market_data as md
 from volmixer.market_data import (EmptyDataError, FormatError, LengthError,
-                                  OhlcvRow, OhlcvSeries, SplitError,
-                                  ValidationError)
+                                  OhlcvSeries, SplitError, ValidationError)
+
+COLUMNS = ("days", "open", "high", "low", "close", "volume")
 
 
 def series_of(closes, start_ordinal=738000):
-    rows = [OhlcvRow(date.fromordinal(start_ordinal + i), c, c * 1.01,
-                     c * 0.99, c, 1000 + i)
-            for i, c in enumerate(closes)]
-    return OhlcvSeries(ticker="TEST", rows=rows)
+    closes = np.asarray(closes, dtype=np.float64)
+    days = np.datetime64(date.fromordinal(start_ordinal)) + np.arange(
+        closes.size)
+    return OhlcvSeries("TEST", days, closes, closes * 1.01, closes * 0.99,
+                       closes, 1000 + np.arange(closes.size))
+
+
+def assert_same_columns(got, expected):
+    assert got.ticker == expected.ticker
+    for name in COLUMNS:
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@st.composite
+def valid_series(draw, min_size=0):
+    n = draw(st.integers(min_size, 30))
+    ordinals = sorted(draw(st.sets(st.integers(1, 3_652_059), min_size=n,
+                                   max_size=n)))
+    price = st.floats(min_value=5e-324, allow_nan=False, allow_infinity=False)
+    columns = [draw(st.lists(price, min_size=n, max_size=n)) for _ in range(4)]
+    volume = draw(st.lists(st.integers(0, 2 ** 63 - 1), min_size=n, max_size=n))
+    days = [np.datetime64(date.fromordinal(o)) for o in ordinals]
+    return OhlcvSeries("P", np.array(days, dtype="datetime64[D]"), *columns,
+                       volume)
 
 
 class TestCsv:
@@ -28,7 +50,9 @@ class TestCsv:
                 "2020-01-03,10.5,12,10,11,200\n")
         series = md.parse_ohlcv_csv(text, "X")
         assert len(series) == 2
-        assert series.rows[1].close == 11
+        assert series.close.tolist() == [10.5, 11.0]
+        assert series.days.tolist() == [date(2020, 1, 2), date(2020, 1, 3)]
+        assert series.volume.dtype == np.int64
 
     def test_zero_close_rejected_with_line(self):
         text = ("Date,Open,High,Low,Close,Volume\n"
@@ -44,13 +68,58 @@ class TestCsv:
         closes = np.exp(rng.normal(0, 0.5, 50)) * 100
         original = series_of(closes)
         parsed = md.parse_ohlcv_csv(md.serialize_ohlcv_csv(original), "TEST")
-        assert parsed == original
+        assert_same_columns(parsed, original)
+
+    def test_undecodable_bytes_report_offset(self):
+        blob = b"Date,Open,High,Low,Close,Volume\n2020-01-02,1\xff,2,1,1,5\n"
+        with pytest.raises(FormatError, match="byte offset 44"):
+            md.parse_ohlcv_csv(blob, "X")
+
+    def test_volume_beyond_int64_is_format_error(self):
+        text = ("Date,Open,High,Low,Close,Volume\n"
+                f"2020-01-02,10,11,9,10.5,{2 ** 63}\n")
+        with pytest.raises(FormatError, match="volume"):
+            md.parse_ohlcv_csv(text)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(valid_series())
+    def test_round_trip_property(self, series):
+        text = md.serialize_ohlcv_csv(series)
+        parsed = md.parse_ohlcv_csv(text, series.ticker)
+        assert_same_columns(parsed, series)
+        assert md.serialize_ohlcv_csv(parsed) == text
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(valid_series(min_size=1), st.data())
+    def test_non_finite_price_rejected_property(self, series, data):
+        lines = md.serialize_ohlcv_csv(series).split("\n")
+        row = data.draw(st.integers(0, len(series) - 1))
+        column = data.draw(st.integers(1, 4))
+        fields = lines[row + 1].split(",")
+        fields[column] = data.draw(st.sampled_from(["nan", "inf", "-inf"]))
+        lines[row + 1] = ",".join(fields)
+        with pytest.raises(ValidationError, match=f"line {row + 2}"):
+            md.parse_ohlcv_csv("\n".join(lines), series.ticker)
 
     def test_unsorted_dates_rejected(self):
-        rows = [OhlcvRow(date(2020, 1, 3), 1, 1, 1, 1, 0),
-                OhlcvRow(date(2020, 1, 2), 1, 1, 1, 1, 0)]
-        with pytest.raises(ValidationError):
-            OhlcvSeries("X", rows)
+        with pytest.raises(ValidationError, match="row 1"):
+            OhlcvSeries("X", ["2020-01-03", "2020-01-02"], [1, 1], [1, 1],
+                        [1, 1], [1, 1], [0, 0])
+
+
+class TestSeries:
+    def test_take_by_index_and_mask(self):
+        series = series_of([1.0, 2.0, 3.0, 4.0])
+        assert series.take(np.array([0, 2])).close.tolist() == [1.0, 3.0]
+        assert series.take(series.close > 2).days.tolist() == \
+            series.days[2:].tolist()
+        with pytest.raises(ValidationError, match="row 1"):
+            series.take(np.array([2, 0]))
+
+    def test_column_lengths_must_match(self):
+        with pytest.raises(ValidationError, match="equal length"):
+            OhlcvSeries("X", ["2020-01-02", "2020-01-03"], [1, 1], [1, 1],
+                        [1, 1], [1, 1], [0])
 
 
 def chart_payload(days, quote):
@@ -77,8 +146,9 @@ class TestChartParsing:
             {"open": [1, 1, 1], "high": [2, 2, 2], "low": [0.5] * 3,
              "close": [1.5, 1.6, 1.7], "volume": [1, 2, 3]})
         result = md.parse_chart_json(json.dumps(payload), "X")
-        days = result.series.dates
-        assert days == sorted(days)
+        assert result.series.days.tolist() == [
+            date(2020, 1, 2), date(2020, 1, 3), date(2020, 1, 6)]
+        assert result.series.close.tolist() == [1.6, 1.7, 1.5]
 
     def test_invalid_json_reports_offset(self):
         with pytest.raises(FormatError, match="byte offset"):
@@ -121,8 +191,11 @@ class TestChartParsing:
         ("timestamp", lambda r: r.update(timestamp=["2020-01-02"])),
         ("close", lambda r: r["indicators"]["quote"][0].update(close=["x"])),
         ("timestamp", lambda r: r.update(timestamp=[1e20])),
+        ("volume", lambda r: r["indicators"]["quote"][0].update(
+            volume=[2 ** 64])),
     ], ids=["non_list_timestamp", "non_dict_quote", "string_timestamp",
-            "non_numeric_price", "overflowing_timestamp"])
+            "non_numeric_price", "overflowing_timestamp",
+            "overflowing_volume"])
     def test_malformed_field_is_format_error(self, field, edit):
         payload = chart_payload(["2020-01-02"], {
             "open": [1], "high": [2], "low": [0.5], "close": [1.5],
@@ -167,18 +240,28 @@ class TestFetch:
         series = md.parse_ohlcv_csv(
             open(f"{FIXTURES}/AAPL_2010_2023.csv").read(), "AAPL")
         payload = chart_payload(
-            [r.day.isoformat() for r in series.rows],
-            {"open": [r.open for r in series.rows],
-             "high": [r.high for r in series.rows],
-             "low": [r.low for r in series.rows],
-             "close": [r.close for r in series.rows],
-             "volume": [r.volume for r in series.rows]})
+            np.datetime_as_string(series.days).tolist(),
+            {name: getattr(series, name).tolist()
+             for name in ("open", "high", "low", "close", "volume")})
         (tmp_path / "AAPL.json").write_text(json.dumps(payload))
         result = md.fetch_ohlcv("AAPL", date(2010, 1, 1), date(2023, 12, 31),
                                 endpoint="unused", fixtures_dir=tmp_path)
-        assert result.series.rows[0].day >= date(2010, 1, 1)
-        assert result.series.rows[-1].day <= date(2023, 12, 31)
-        assert len(result.series) == len(series)
+        assert result.series.days[0] >= np.datetime64("2010-01-01")
+        assert result.series.days[-1] <= np.datetime64("2023-12-31")
+        assert_same_columns(result.series, series)
+
+    def test_rows_outside_range_dropped(self, tmp_path):
+        payload = chart_payload(
+            ["2020-01-02", "2020-01-03", "2020-01-06"],
+            {"open": [1, 1, 1], "high": [2, 2, 2], "low": [0.5] * 3,
+             "close": [1.5, 1.6, 1.7], "volume": [1, 2, 3]})
+        (tmp_path / "X.json").write_text(json.dumps(payload))
+        result = md.fetch_ohlcv("X", date(2020, 1, 3), date(2020, 1, 31),
+                                endpoint="unused", fixtures_dir=tmp_path)
+        assert result.series.close.tolist() == [1.6, 1.7]
+        with pytest.raises(EmptyDataError):
+            md.fetch_ohlcv("X", date(2020, 2, 1), date(2020, 2, 28),
+                           endpoint="unused", fixtures_dir=tmp_path)
 
     def test_missing_fixture_is_fetch_error(self, tmp_path):
         with pytest.raises(md.FetchError):
@@ -209,6 +292,40 @@ class TestLogReturns:
         returns = md.compute_log_returns(prices)
         rebuilt = prices[0] * np.exp(np.cumsum(returns))
         assert np.max(np.abs(rebuilt - prices[1:])) < 1e-9
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+def _chart_with_close(value):
+    payload = chart_payload(["2020-01-02", "2020-01-03"], {
+        "open": [1, 1], "high": [2, 2], "low": [0.5, 0.5],
+        "close": [1.5, value], "volume": [10, 10]})
+    return md.parse_chart_json(payload, "X")
+
+
+def _csv_with_close(value):
+    return md.parse_ohlcv_csv("Date,Open,High,Low,Close,Volume\n"
+                              "2020-01-02,1,2,0.5,1.5,10\n"
+                              f"2020-01-03,1,2,0.5,{value!r},10\n")
+
+
+def _series_with_close(value):
+    return OhlcvSeries("X", ["2020-01-02", "2020-01-03"], [1, 1], [2, 2],
+                       [0.5, 0.5], [1.5, value], [10, 10])
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "neg_inf"])
+@pytest.mark.parametrize("entry, where", [
+    (_chart_with_close, "row 1"),
+    (_csv_with_close, "line 3"),
+    (_series_with_close, "row 1"),
+    (lambda value: md.compute_log_returns([1.5, value]), "finite"),
+], ids=["parse_chart_json", "parse_ohlcv_csv", "OhlcvSeries",
+        "compute_log_returns"])
+def test_non_finite_price_rejected(entry, where, value):
+    with pytest.raises(ValidationError, match=where):
+        entry(value)
 
 
 class TestRollingVolatility:
@@ -335,7 +452,7 @@ class TestFeatureMatrix:
         series = series_of(np.exp(rng.normal(0, 0.01, 80)) * 10)
         values, _ = md.feature_matrix(series, covariates=True)
         assert values.shape == (80 - 21, 3)
-        returns = md.compute_log_returns(series.closes)
+        returns = md.compute_log_returns(series.close)
         assert np.allclose(values[:, 1], returns[20:])
 
 

@@ -7,8 +7,8 @@ import pytest
 from conftest import finite_diff_check
 from volmixer import autodiff as ad
 from volmixer.autodiff import Tape, Tensor
-from volmixer.model import (ModelConfig, TimeMixerModel, denormalize,
-                            instance_normalize, parameter_shapes)
+from volmixer.model import (CheckpointError, ModelConfig, TimeMixerModel,
+                            denormalize, instance_normalize, parameter_shapes)
 from volmixer.multiscale import ConfigError, build_multiscale
 from volmixer.training import mse_loss
 
@@ -381,6 +381,42 @@ class TestCheckpoint:
         TimeMixerModel(TINY).save(path)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError, match="payload"):
+            TimeMixerModel.load(path)
+
+    @pytest.mark.parametrize("keep", [
+        lambda blob, hlen: 10,
+        lambda blob, hlen: 12,
+        lambda blob, hlen: 12 + hlen // 2,
+        lambda blob, hlen: len(blob) - 8,
+    ], ids=["at_10_bytes", "at_12_bytes", "inside_header", "inside_payload"])
+    def test_truncation_is_checkpoint_error(self, tmp_path, keep):
+        path = tmp_path / "model.ckpt"
+        TimeMixerModel(TINY).save(path)
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack("<I", blob[8:12])
+        path.write_bytes(blob[:keep(blob, hlen)])
+        with pytest.raises(CheckpointError):
+            TimeMixerModel.load(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h.pop("config"),
+        lambda h: h.update(format_version=2),
+        lambda h: h.update(config=[1]),
+        lambda h: h["manifest"][1].update(offset=0),
+        lambda h: h["manifest"][0].update(shape=3),
+    ], ids=["missing_config", "version", "config_not_object", "bad_offset",
+            "shape_not_list"])
+    def test_malformed_header_is_checkpoint_error(self, tmp_path, edit):
+        path = tmp_path / "model.ckpt"
+        TimeMixerModel(TINY).save(path)
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12:12 + hlen])
+        edit(header)
+        raw = json.dumps(header).encode()
+        path.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw
+                         + blob[12 + hlen:])
+        with pytest.raises(CheckpointError):
             TimeMixerModel.load(path)
 
     def test_bad_magic(self, tmp_path):
