@@ -59,8 +59,11 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.values)
-        self.grad += g
+            # A copy, never ``g`` itself: ``add`` hands one ``g`` to both of
+            # its inputs, and a later ``+=`` must not write into the other.
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -193,7 +196,7 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         raise ShapeError(f"linear: bias shape {bias.shape} != ({n_out},)")
     out_vals = x.values @ weight.values
     if bias is not None:
-        out_vals = out_vals + bias.values
+        out_vals += bias.values
     xv = x.values
 
     def bwd(g):
@@ -213,18 +216,44 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Elementwise x * Phi(x), tanh approximation."""
+    """Elementwise x * Phi(x), tanh approximation.
+
+    Cubes and squares are products, not ``**`` (NumPy's generic power path is
+    slow). Each kernel works in place on its own scratch buffers (``out=``
+    keeps them arrays for 0-d input), and ``x`` is never written. The
+    backward closure keeps only ``v`` and ``t``; it recomputes ``v * v``.
+    """
     v = x.values
-    inner = _GELU_C * (v + 0.044715 * v ** 3)
-    t = np.tanh(inner)
+    t = np.multiply(v, v, out=np.empty_like(v))
+    t *= v
+    t *= 0.044715
+    t += v
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = t + 1.0
+    out *= v
+    out *= 0.5
 
     def bwd(g):
         if x.requires_grad:
-            sech2 = 1.0 - t * t
-            d_inner = _GELU_C * (1.0 + 3 * 0.044715 * v ** 2)
-            x._accumulate(g * (0.5 * (1.0 + t) + 0.5 * v * sech2 * d_inner))
+            # g * (0.5 * (1 + t) + 0.5 * v * sech2 * d_inner), rounded in
+            # that order, with sech2 = 1 - t * t.
+            d = np.multiply(v, v, out=np.empty_like(v))     # d_inner
+            d *= 3 * 0.044715
+            d += 1.0
+            d *= _GELU_C
+            s = np.multiply(t, t, out=np.empty_like(t))     # second term
+            np.subtract(1.0, s, out=s)
+            s *= v
+            s *= 0.5
+            s *= d
+            np.add(t, 1.0, out=d)                           # first term
+            d *= 0.5
+            d += s
+            d *= g
+            x._accumulate(d)
 
-    return _make(0.5 * v * (1.0 + t), (x,), bwd, "gelu")
+    return _make(out, (x,), bwd, "gelu")
 
 
 def time_linear(x: Tensor, a, bias: Optional[Tensor] = None,

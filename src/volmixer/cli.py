@@ -21,6 +21,7 @@ from pathlib import Path
 
 from volmixer import __version__
 from volmixer import evaluation, market_data
+from volmixer.atomic import write_atomic
 from volmixer.market_data import (AssetRoster, FetchError, EmptyDataError,
                                   cache_path, fetch_ohlcv, parse_ohlcv_csv,
                                   serialize_ohlcv_csv)
@@ -209,7 +210,7 @@ def cmd_fetch(config: RunConfig, fixtures=None) -> int:
             continue
         series = result.series
         path = cache_path(config.data_dir, entry.ticker, entry.start, entry.end)
-        path.write_text(serialize_ohlcv_csv(series))
+        write_atomic(path, serialize_ohlcv_csv(series))
         print(f"{entry.ticker}: {len(series)} rows "
               f"({series.days[0]} .. {series.days[-1]}), "
               f"{result.dropped_rows} dropped -> {path}")
@@ -267,7 +268,7 @@ def _score_pairs(config: RunConfig, get_model) -> int:
         "records": len(records),
         "failures": failures,
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    write_atomic(out_dir / "manifest.json", json.dumps(manifest, indent=2))
     if failures:
         return EXIT_PARTIAL
     if not records:
@@ -304,7 +305,7 @@ def cmd_report(config: RunConfig) -> int:
         raise ValidationFailure(f"no metrics at {csv_path}; run 'eval' first")
     records = evaluation.records_from_csv(csv_path.read_text())
     md = evaluation.records_to_markdown(records)
-    (Path(config.out_dir) / "report.md").write_text(md)
+    write_atomic(Path(config.out_dir) / "report.md", md)
     print(md)
     return EXIT_OK
 

@@ -10,6 +10,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from volmixer.atomic import write_atomic
 from volmixer.market_data import WindowedDataset
 from volmixer.model import TimeMixerModel
 
@@ -233,13 +234,13 @@ def emit_report(records: Sequence[MetricsRecord], out_dir,
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {}
     csv_path = out_dir / "metrics.csv"
-    csv_path.write_text(records_to_csv(records))
+    write_atomic(csv_path, records_to_csv(records))
     paths["csv"] = csv_path
     md_path = out_dir / "report.md"
-    md_path.write_text(records_to_markdown(records))
+    write_atomic(md_path, records_to_markdown(records))
     paths["markdown"] = md_path
     for stem, (dates, actual, predicted, title) in (plots or {}).items():
         p = out_dir / f"{stem}.svg"
-        p.write_text(forecast_plot_svg(dates, actual, predicted, title))
+        write_atomic(p, forecast_plot_svg(dates, actual, predicted, title))
         paths[stem] = p
     return paths

@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from volmixer import autodiff as ad
+from volmixer.atomic import write_atomic
 from volmixer.autodiff import Tensor
 from volmixer.multiscale import ConfigError, build_multiscale, series_decomp
 
@@ -262,11 +263,8 @@ class TimeMixerModel:
         payload = np.concatenate(
             [t.values.ravel() for t in self.params.values()]
         ).astype("<f8").tobytes()
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<I", len(header)))
-            fh.write(header)
-            fh.write(payload)
+        write_atomic(path, b"".join(
+            [_MAGIC, struct.pack("<I", len(header)), header, payload]))
 
     @classmethod
     def load(cls, path) -> "TimeMixerModel":

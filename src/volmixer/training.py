@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from volmixer import autodiff as ad
+from volmixer.atomic import write_atomic
 from volmixer.autodiff import Tape, Tensor
 from volmixer.market_data import WindowedDataset
 from volmixer.model import TimeMixerModel, instance_normalize
@@ -61,7 +62,7 @@ class TrainReport:
 
     def write(self, path) -> None:
         path = Path(path)
-        path.write_text(self.to_json())
+        write_atomic(path, self.to_json())
         lines = [f"epoch {i:4d}  train {tr:.6e}  val {vl:.6e}"
                  for i, (tr, vl) in enumerate(zip(self.train_losses,
                                                   self.val_losses))]
@@ -69,7 +70,7 @@ class TrainReport:
                      f"(val {self.best_val_loss:.6e}); "
                      f"stopped: {self.stopping_reason}; "
                      f"wall time {self.wall_time:.1f}s")
-        path.with_suffix(".log").write_text("\n".join(lines) + "\n")
+        write_atomic(path.with_suffix(".log"), "\n".join(lines) + "\n")
 
 
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:

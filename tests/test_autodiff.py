@@ -75,6 +75,80 @@ class TestGelu:
         got = ad.gelu(Tensor(grid)).values
         assert np.all(np.diff(got) >= -1e-12)
 
+    # Multiples of 1/8 up to 30 in magnitude, so v ** 3 is exact and the
+    # oracle's power and the kernel's products agree; 0, +-0.75 (near the
+    # derivative's zero), +-5 and +-30 (saturated tanh) are on it.
+    EXACT_GRID = np.arange(-240, 241) / 8.0
+
+    @staticmethod
+    def oracle(v):
+        """The tanh-approximation GELU and its analytic derivative."""
+        c = math.sqrt(2.0 / math.pi)
+        t = np.tanh(c * (v + 0.044715 * v ** 3))
+        d_inner = c * (1.0 + 3 * 0.044715 * v ** 2)
+        return (0.5 * v * (1.0 + t),
+                0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * d_inner)
+
+    @staticmethod
+    def forward_backward(v):
+        x = Tensor(v.copy(), requires_grad=True)
+        tape = Tape()
+        with tape:
+            y = ad.gelu(x)
+        after_forward = x.values.copy()
+        y.grad = np.ones_like(v)
+        tape.nodes[-1].backward_fn(y.grad)
+        return x, y, after_forward
+
+    def test_forward_matches_formula(self):
+        _, y, _ = self.forward_backward(self.EXACT_GRID)
+        ref, _ = self.oracle(self.EXACT_GRID)
+        assert np.all(np.abs(y.values - ref) <= 1e-12 * np.abs(ref))
+
+    def test_backward_matches_analytic_derivative(self):
+        x, _, _ = self.forward_backward(self.EXACT_GRID)
+        _, dref = self.oracle(self.EXACT_GRID)
+        assert np.all(np.abs(x.grad - dref) <= 1e-12 * np.abs(dref))
+
+    def test_off_grid_within_one_tanh_rounding(self, rng):
+        # Off the exact grid v * v * v and v ** 3 may differ in the last bit,
+        # which can move tanh by an ulp; where 1 + tanh cancels (v << 0) that
+        # ulp is most of the result, so allow it on top of 1e-12 relative.
+        v = rng.uniform(-30.0, 30.0, size=20000)
+        x, y, _ = self.forward_backward(v)
+        ref, dref = self.oracle(v)
+        ulp_t = 2 * np.finfo(np.float64).eps
+        d_inner = math.sqrt(2.0 / math.pi) * (1.0 + 3 * 0.044715 * v * v)
+        assert np.all(np.abs(y.values - ref)
+                      <= 1e-12 * np.abs(ref) + 0.5 * np.abs(v) * ulp_t)
+        assert np.all(np.abs(x.grad - dref)
+                      <= 1e-12 * np.abs(dref)
+                      + (0.5 + np.abs(v) * d_inner) * ulp_t)
+
+    def test_input_never_written(self, rng):
+        v = rng.uniform(-30.0, 30.0, size=(4, 8, 3))
+        x, y, after_forward = self.forward_backward(v)
+        assert after_forward.tobytes() == v.tobytes()
+        assert x.values.tobytes() == v.tobytes()
+        assert not np.shares_memory(y.values, x.values)
+
+    def test_backward_keeps_only_input_and_tanh(self, rng):
+        # Caching v * v or the derivative would cost a batch-sized array per
+        # gelu node for the life of the tape.
+        x = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
+        tape = Tape()
+        with tape:
+            ad.gelu(x)
+        closure = tape.nodes[-1].backward_fn.__closure__
+        arrays = [c.cell_contents for c in closure
+                  if isinstance(c.cell_contents, np.ndarray)]
+        assert len(arrays) == 2
+        assert any(a is x.values for a in arrays)
+        c = math.sqrt(2.0 / math.pi)
+        v = x.values
+        assert any(a is not v and np.array_equal(
+            a, np.tanh(c * (v + 0.044715 * v ** 3))) for a in arrays)
+
 
 class TestTimeLinear:
     def test_matches_transposed_linear(self, rng):
@@ -205,6 +279,26 @@ class TestBackward:
             loss = ad.mean(ad.multiply(w, w))
         ad.backward(loss, tape)
         assert w.grad.tolist() == [1.0, 2.0]
+
+    def test_gradient_shared_by_add_is_not_aliased(self):
+        # add hands one g to both inputs: a grad that kept g itself would be
+        # written by the next accumulate into either of them.
+        a = Tensor([1.0, -2.0, 3.0, 0.5], requires_grad=True)
+        b = Tensor([0.0, 4.0, -1.0, 2.0], requires_grad=True)
+        tape = Tape()
+        with tape:
+            loss = ad.mean(ad.add(ad.add(a, b), a))
+        ad.backward(loss, tape)
+        assert a.grad.tolist() == [2 / 4] * 4
+        assert b.grad.tolist() == [1 / 4] * 4
+
+    def test_same_tensor_twice_in_add(self):
+        a = Tensor([1.0, -2.0, 3.0, 0.5], requires_grad=True)
+        tape = Tape()
+        with tape:
+            loss = ad.mean(ad.add(a, a))
+        ad.backward(loss, tape)
+        assert a.grad.tolist() == [2 / 4] * 4
 
     def test_non_scalar_loss_rejected(self, rng):
         w = leaf(rng, 3)

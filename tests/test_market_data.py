@@ -440,6 +440,25 @@ class TestSplit:
         with pytest.raises(SplitError):
             md.split_chronological(ds, test_fraction=0.2)
 
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(lookback=st.integers(1, 64), horizon=st.integers(1, 32),
+           extra=st.integers(0, 400),
+           test_fraction=st.floats(0, 1, exclude_min=True, exclude_max=True))
+    def test_never_leaks(self, lookback, horizon, extra, test_fraction):
+        # The series is its own time index, so x holds each sample's lookback
+        # steps and y its target steps.
+        ds = md.make_windows(np.arange(float(lookback + horizon + extra)),
+                             lookback, horizon)
+        try:
+            md.split_chronological(ds, test_fraction=test_fraction)
+        except SplitError:
+            return
+        ranges = (ds.train_range, ds.val_range, ds.test_range)
+        assert all(0 <= lo < hi <= len(ds) for lo, hi in ranges)
+        (_, train_y), (val_x, val_y), (test_x, _) = ds.train, ds.val, ds.test
+        assert train_y.max() < val_x.min()
+        assert val_y.max() < test_x.min()
+
 
 class TestFeatureMatrix:
     def test_univariate_default(self, rng):

@@ -3,6 +3,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import finite_diff_check
 from volmixer import autodiff as ad
@@ -94,6 +97,20 @@ class TestInstanceNormalize:
         out, stats = instance_normalize(x)
         back = denormalize(out[..., 0], stats, channel=0)
         assert np.max(np.abs(back - x[..., 0])) < 1e-10
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(x=hnp.arrays(np.float64,
+                        hnp.array_shapes(min_dims=3, max_dims=3, max_side=12),
+                        elements=st.floats(-1e6, 1e6)),
+           constant=st.lists(st.booleans(), min_size=12, max_size=12))
+    def test_round_trip_property(self, x, constant):
+        for b, flat in zip(range(x.shape[0]), constant):
+            if flat:                        # constant window: floored std
+                x[b] = x[b, :1]
+        out, stats = instance_normalize(x)
+        back = denormalize(out[..., 0], stats, channel=0)
+        scale = np.maximum(np.abs(x[..., 0]).max(axis=1, keepdims=True), 1.0)
+        assert np.all(np.abs(back - x[..., 0]) <= 1e-12 * scale)
 
     def test_normalized_moments(self, rng):
         x = rng.normal(5.0, 2.0, (3, 32, 2))
