@@ -14,6 +14,7 @@ mixing, predictor heads) is one op, ``time_linear``.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import Callable, Optional, Sequence
 
@@ -57,11 +58,16 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def _accumulate(self, g: np.ndarray) -> None:
+    def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add ``g`` into ``grad``.
+
+        ``owned`` says that the op has just allocated ``g`` and keeps no other
+        reference, so a first gradient is taken as it is. Any other ``g`` is
+        copied first: ``add`` hands one ``g`` to both of its inputs, and a
+        later ``+=`` must not write into the other.
+        """
         if self.grad is None:
-            # A copy, never ``g`` itself: ``add`` hands one ``g`` to both of
-            # its inputs, and a later ``+=`` must not write into the other.
-            self.grad = np.array(g, dtype=np.float64)
+            self.grad = g if owned else np.array(g, dtype=np.float64)
         else:
             self.grad += g
 
@@ -70,11 +76,11 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("inputs", "output", "backward_fn")
+    __slots__ = ("inputs", "outputs", "backward_fn")
 
-    def __init__(self, inputs, output, backward_fn):
+    def __init__(self, inputs, outputs, backward_fn):
         self.inputs = inputs
-        self.output = output
+        self.outputs = outputs
         self.backward_fn = backward_fn
 
 
@@ -105,13 +111,23 @@ def active_tape() -> Optional[Tape]:
 
 def _make(values: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable,
           op: str) -> Tensor:
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise NumericError(f"non-finite values produced by '{op}'")
     out = Tensor(values, requires_grad=any(t.requires_grad for t in inputs))
-    tape = active_tape()
-    if tape is not None and out.requires_grad:
-        tape.nodes.append(_Node(tuple(inputs), out, backward_fn))
+    _record((out,), inputs, backward_fn)
     return out
+
+
+def _record(outputs: tuple[Tensor, ...], inputs: Sequence[Tensor],
+            backward_fn: Callable) -> None:
+    """Put an op on the active tape if its outputs need gradients.
+
+    ``backward_fn`` takes one gradient per output, ``None`` for an output
+    that received none.
+    """
+    tape = active_tape()
+    if tape is not None and outputs[0].requires_grad:
+        tape.nodes.append(_Node(tuple(inputs), outputs, backward_fn))
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
@@ -126,10 +142,9 @@ def backward(loss: Tensor, tape: Tape) -> None:
     tape.used = True
     loss.grad = np.ones_like(loss.values)
     for node in reversed(tape.nodes):
-        g = node.output.grad
-        if g is None:
-            continue
-        node.backward_fn(g)
+        grads = [t.grad for t in node.outputs]
+        if any(g is not None for g in grads):
+            node.backward_fn(*grads)
     tape.nodes.clear()
 
 
@@ -158,7 +173,7 @@ def subtract(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a._accumulate(g)
         if b.requires_grad:
-            b._accumulate(-g)
+            b._accumulate(-g, owned=True)
 
     return _make(a.values - b.values, (a, b), bwd, "subtract")
 
@@ -170,9 +185,9 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a._accumulate(g * bv)
+            a._accumulate(g * bv, owned=True)
         if b.requires_grad:
-            b._accumulate(g * av)
+            b._accumulate(g * av, owned=True)
 
     return _make(av * bv, (a, b), bwd, "multiply")
 
@@ -182,7 +197,7 @@ def mean(x: Tensor) -> Tensor:
 
     def bwd(g):
         if x.requires_grad:
-            x._accumulate(np.full_like(x.values, float(g) / n))
+            x._accumulate(np.full_like(x.values, float(g) / n), owned=True)
 
     return _make(np.asarray(x.values.mean()), (x,), bwd, "mean")
 
@@ -202,11 +217,11 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     def bwd(g):
         g2 = g.reshape(-1, n_out)
         if x.requires_grad:
-            x._accumulate(g @ weight.values.T)
+            x._accumulate(g @ weight.values.T, owned=True)
         if weight.requires_grad:
-            weight._accumulate(xv.reshape(-1, n_in).T @ g2)
+            weight._accumulate(xv.reshape(-1, n_in).T @ g2, owned=True)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(g2.sum(axis=0))
+            bias._accumulate(g2.sum(axis=0), owned=True)
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
     return _make(out_vals, inputs, bwd, "linear")
@@ -251,7 +266,7 @@ def gelu(x: Tensor) -> Tensor:
             d *= 0.5
             d += s
             d *= g
-            x._accumulate(d)
+            x._accumulate(d, owned=True)
 
     return _make(out, (x,), bwd, "gelu")
 
@@ -285,16 +300,175 @@ def time_linear(x: Tensor, a, bias: Optional[Tensor] = None,
     def bwd(g):
         if x.requires_grad:
             gx = av @ g
-            x._accumulate(gx / denom if denom != 1.0 else gx)
+            x._accumulate(gx / denom if denom != 1.0 else gx, owned=True)
         if learned and a.requires_grad:
             ga = np.tensordot(xv, g, axes=(other, other))
-            a._accumulate(ga / denom if denom != 1.0 else ga)
+            a._accumulate(ga / denom if denom != 1.0 else ga, owned=True)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(g.sum(axis=other))
+            bias._accumulate(g.sum(axis=other), owned=True)
 
     inputs = (x,) + ((a,) if learned else ())
     inputs += (bias,) if bias is not None else ()
     return _make(out_vals, inputs, bwd, "time_linear")
+
+
+def _bounds(lengths: Sequence[int]) -> list[tuple[int, int]]:
+    """(start, stop) of consecutive segments of the given lengths."""
+    ends = list(itertools.accumulate(lengths))
+    return list(zip([0] + ends[:-1], ends))
+
+
+def segment_linear(x: Tensor, weights: Sequence[Tensor],
+                   biases: Sequence[Tensor], lengths: Sequence[int]) -> Tensor:
+    """``linear`` with its own weight and bias on each time segment.
+
+    The time axis (second-to-last) of ``x`` is cut into consecutive segments
+    of ``lengths``; segment m maps to ``x_m @ weights[m] + biases[m]``.
+    """
+    xv = x.values
+    n_in, n_out = weights[0].shape
+    if (xv.ndim < 2 or xv.shape[-2:] != (sum(lengths), n_in)
+            or not len(weights) == len(biases) == len(lengths)
+            or any(w.shape != (n_in, n_out) or b.shape != (n_out,)
+                   for w, b in zip(weights, biases))):
+        raise ShapeError(f"segment_linear: input {x.shape}, segments "
+                         f"{list(lengths)}, weights "
+                         f"{[w.shape for w in weights]}, biases "
+                         f"{[b.shape for b in biases]}")
+    bounds = _bounds(lengths)
+    out_vals = np.empty(xv.shape[:-1] + (n_out,))
+    for w, b, (lo, hi) in zip(weights, biases, bounds):
+        seg = out_vals[..., lo:hi, :]
+        np.matmul(xv[..., lo:hi, :], w.values, out=seg)
+        seg += b.values
+    lead = tuple(range(xv.ndim - 1))
+
+    def bwd(g):
+        if x.requires_grad:
+            gx = np.empty_like(xv)
+            for w, (lo, hi) in zip(weights, bounds):
+                np.matmul(g[..., lo:hi, :], w.values.T, out=gx[..., lo:hi, :])
+            x._accumulate(gx, owned=True)
+        for w, b, (lo, hi) in zip(weights, biases, bounds):
+            gs = g[..., lo:hi, :]
+            if w.requires_grad:
+                w._accumulate(np.tensordot(xv[..., lo:hi, :], gs,
+                                           axes=(lead, lead)), owned=True)
+            if b.requires_grad:
+                b._accumulate(gs.sum(axis=lead), owned=True)
+
+    return _make(out_vals, (x, *weights, *biases), bwd, "segment_linear")
+
+
+def cascade(up_base: np.ndarray, up_weights: Sequence[Tensor],
+            up_biases: Sequence[Tensor], down_base: np.ndarray,
+            down_weights: Sequence[Tensor],
+            down_biases: Sequence[Tensor]) -> tuple[Tensor, Tensor]:
+    """Time map and bias of two opposite chains of affine maps over M + 1
+    consecutive time segments of lengths T_0 .. T_M.
+
+    Returns ``(a, bias)``, (ΣT, ΣT) and (ΣT,), such that
+    ``time_linear(x, a, bias)`` gives, for segment m, ``u_m + v_m`` with::
+
+        u_0 = U_0 x_0,  u_m = U_m x_m + time_linear(u_{m-1}, W_m, b_m)
+        v_M = D_M x_M,  v_m = D_m x_m + time_linear(v_{m+1}, W'_m, b'_m)
+
+    ``up_base`` and ``down_base`` are constant (ΣT, ΣT) block-diagonal
+    ``time_linear`` matrices holding U_m and D_m; W_m, b_m are
+    ``up_weights[m-1]`` (T_{m-1}, T_m) and ``up_biases[m-1]`` (T_m,), and
+    W'_m, b'_m are ``down_weights[m]`` (T_{m+1}, T_m) and
+    ``down_biases[m]`` (T_m,). The weights give the segment lengths.
+
+    Column block m of ``a`` is the up chain's map in the rows of segments
+    0..m plus the down chain's in those of segments m..M. Each chain is
+    built in place in its own (ΣT + 1, ΣT) array whose extra row holds the
+    bias, so every step is one product of the previous block's rows and a
+    weight. Neither output depends on the batch size; the backward runs
+    both recurrences in reverse.
+    """
+    n = len(up_weights) + 1
+    lengths = ([w.shape[0] for w in up_weights] + [up_weights[-1].shape[1]]
+               if up_weights else [up_base.shape[0]])
+    total = sum(lengths)
+    pairs = list(zip(lengths, lengths[1:]))
+    shapes = [[t.shape for t in group] for group in (up_weights, up_biases,
+                                                     down_weights, down_biases)]
+    if (shapes != [[(f, c) for f, c in pairs], [(c,) for _, c in pairs],
+                   [(c, f) for f, c in pairs], [(f,) for f, _ in pairs]]
+            or {up_base.shape, down_base.shape} != {(total, total)}):
+        raise ShapeError(f"cascade: bases {up_base.shape} and "
+                         f"{down_base.shape}, weights and biases {shapes}")
+    bounds = _bounds(lengths)
+    up = np.empty((total + 1, total))       # bias row first, then a's rows
+    up[0] = 0.0
+    up[1:] = up_base
+    down = np.empty((total + 1, total))     # a's rows, then the bias row
+    down[:total] = down_base
+    down[total] = 0.0
+    for m in range(1, n):
+        (fine, lo), (_, hi) = bounds[m - 1], bounds[m]
+        np.matmul(up[:lo + 1, fine:lo], up_weights[m - 1].values,
+                  out=up[:lo + 1, lo:hi])
+        up[0, lo:hi] += up_biases[m - 1].values
+    for m in range(n - 2, -1, -1):
+        (lo, hi), (_, coarse) = bounds[m], bounds[m + 1]
+        np.matmul(down[hi:, hi:coarse], down_weights[m].values,
+                  out=down[hi:, lo:hi])
+        down[total, lo:hi] += down_biases[m].values
+    a_vals = up[1:] + down[:total]
+    bias_vals = up[0] + down[total]
+    if not (np.isfinite(a_vals).all() and np.isfinite(bias_vals).all()):
+        raise NumericError("non-finite values produced by 'cascade'")
+    params = (*up_weights, *up_biases, *down_weights, *down_biases)
+    grad = any(t.requires_grad for t in params)
+    a = Tensor(a_vals, requires_grad=grad)
+    bias = Tensor(bias_vals, requires_grad=grad)
+
+    def bwd(ga, gb):
+        g_up = np.zeros((total + 1, total))
+        g_down = np.zeros((total + 1, total))
+        if ga is not None:
+            g_up[1:] = ga
+            g_down[:total] = ga
+        if gb is not None:
+            g_up[0] = gb
+            g_down[total] = gb
+        for m in range(n - 1, 0, -1):
+            (fine, lo), (_, hi) = bounds[m - 1], bounds[m]
+            w, b = up_weights[m - 1], up_biases[m - 1]
+            g_prod = g_up[:lo + 1, lo:hi]
+            if w.requires_grad:
+                w._accumulate(up[:lo + 1, fine:lo].T @ g_prod, owned=True)
+            if b.requires_grad:
+                b._accumulate(g_prod[0])
+            g_up[:lo + 1, fine:lo] += g_prod @ w.values.T
+        for m in range(n - 1):
+            (lo, hi), (_, coarse) = bounds[m], bounds[m + 1]
+            w, b = down_weights[m], down_biases[m]
+            g_prod = g_down[hi:, lo:hi]
+            if w.requires_grad:
+                w._accumulate(down[hi:, hi:coarse].T @ g_prod, owned=True)
+            if b.requires_grad:
+                b._accumulate(g_prod[-1])
+            g_down[hi:, hi:coarse] += g_prod @ w.values.T
+
+    _record((a, bias), params, bwd)
+    return a, bias
+
+
+def concat(parts: Sequence[Tensor]) -> Tensor:
+    """Stack tensors along their first axis."""
+    if any(p.shape[1:] != parts[0].shape[1:] for p in parts):
+        raise ShapeError(f"concat: shapes {[p.shape for p in parts]}")
+    bounds = _bounds([p.shape[0] for p in parts])
+
+    def bwd(g):
+        for p, (lo, hi) in zip(parts, bounds):
+            if p.requires_grad:
+                p._accumulate(g[lo:hi])
+
+    return _make(np.concatenate([p.values for p in parts]), parts, bwd,
+                 "concat")
 
 
 @functools.lru_cache(maxsize=64)

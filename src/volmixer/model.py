@@ -8,11 +8,11 @@ along channels and is shared across time.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import struct
 from dataclasses import dataclass, asdict
-from typing import Optional
 
 import numpy as np
 
@@ -131,6 +131,32 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+@functools.lru_cache(maxsize=64)
+def _stack_maps(lookback: int, num_scales: int,
+                kernel: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only ``time_linear`` matrices of the stacked scale family
+    (scales stacked finest first along time): the (P, ΣT) ladder and the
+    block-diagonal (ΣT, ΣT) seasonal and trend parts of every scale.
+
+    They are ``build_multiscale`` and ``series_decomp`` applied to identity
+    matrices, so the per-scale reference functions define them.
+    """
+    ladder = np.concatenate([s.values.T for s in build_multiscale(
+        Tensor(np.eye(lookback)), num_scales)], axis=1)
+    total = ladder.shape[1]
+    season, trend = np.zeros((total, total)), np.zeros((total, total))
+    start = 0
+    for m in range(num_scales + 1):
+        t_len = lookback // 2 ** m
+        parts = series_decomp(Tensor(np.eye(t_len)), kernel)
+        for out, part in zip((season, trend), parts):
+            out[start:start + t_len, start:start + t_len] = part.values.T
+        start += t_len
+    for array in (ladder, season, trend):
+        array.setflags(write=False)
+    return ladder, season, trend
+
+
 class TimeMixerModel:
     """Forecaster with deterministic seeded initialization.
 
@@ -169,67 +195,69 @@ class TimeMixerModel:
 
     # -- forward ------------------------------------------------------------
 
-    def pdm_forward(self, layer: int, scales: list[Tensor]) -> list[Tensor]:
-        """One past-decomposable-mixing block over the scale family.
+    def _check_stack(self, stack: Tensor) -> list[int]:
+        """The scale lengths, once ``stack`` is seen to hold them."""
+        lengths = self.config.scale_lengths()
+        if stack.values.ndim < 2 or stack.shape[-2] != sum(lengths):
+            raise ad.ShapeError(f"stacked scales {stack.shape} do not hold "
+                                f"the ladder {lengths} on the time axis")
+        return lengths
+
+    def pdm_forward(self, layer: int, stack: Tensor) -> Tensor:
+        """One past-decomposable-mixing block over the stacked scales.
 
         Each scale is split into seasonal and trend parts; seasonal parts mix
         fine-to-coarse, trend parts coarse-to-fine, then a residual channel
-        feedforward recombines them.
+        feedforward, with each scale's own weights, recombines them. Up to
+        the feedforward the block is linear in the stack: one (ΣT, ΣT) time
+        map plus a ΣT bias, built from the mixing weights by ``cascade``.
         """
-        cfg = self.config
-        expected = cfg.scale_lengths()
-        got = [s.shape[-2] for s in scales]
-        if got != expected:
-            raise ad.ShapeError(f"scale ladder {got} != expected {expected}")
-        p = self.params
-        pre = f"block{layer}"
-        seasonal, trend = [], []
-        for s in scales:
-            se, tr = series_decomp(s, cfg.decomp_kernel)
-            seasonal.append(se)
-            trend.append(tr)
-        for m in range(1, cfg.num_scales + 1):
-            mixed = ad.time_linear(seasonal[m - 1], p[f"{pre}.bottom_up{m}.W"],
-                                   p[f"{pre}.bottom_up{m}.b"])
-            seasonal[m] = ad.add(seasonal[m], mixed)
-        for m in range(cfg.num_scales - 1, -1, -1):
-            mixed = ad.time_linear(trend[m + 1], p[f"{pre}.top_down{m}.W"],
-                                   p[f"{pre}.top_down{m}.b"])
-            trend[m] = ad.add(trend[m], mixed)
-        out = []
-        for m, x in enumerate(scales):
-            mix = ad.add(seasonal[m], trend[m])
-            hidden = ad.gelu(ad.linear(mix, p[f"{pre}.ff{m}.W1"], p[f"{pre}.ff{m}.b1"]))
-            ff = ad.linear(hidden, p[f"{pre}.ff{m}.W2"], p[f"{pre}.ff{m}.b2"])
-            out.append(ad.add(x, ff))
-        return out
+        lengths = self._check_stack(stack)
+        p, pre = self.params, f"block{layer}"
+        scales = range(1, self.config.num_scales + 1)
+        up_w = [p[f"{pre}.bottom_up{m}.W"] for m in scales]
+        up_b = [p[f"{pre}.bottom_up{m}.b"] for m in scales]
+        down_w = [p[f"{pre}.top_down{m - 1}.W"] for m in scales]
+        down_b = [p[f"{pre}.top_down{m - 1}.b"] for m in scales]
+        _, season, trend = _stack_maps(self.config.lookback,
+                                       self.config.num_scales,
+                                       self.config.decomp_kernel)
+        mixing, bias = ad.cascade(season, up_w, up_b, trend, down_w, down_b)
+        mix = ad.time_linear(stack, mixing, bias)
+        ff = {name: [p[f"{pre}.ff{m}.{name}"] for m in range(len(lengths))]
+              for name in ("W1", "b1", "W2", "b2")}
+        hidden = ad.gelu(ad.segment_linear(mix, ff["W1"], ff["b1"], lengths))
+        out = ad.segment_linear(hidden, ff["W2"], ff["b2"], lengths)
+        return ad.add(stack, out)
 
-    def fmm_forward(self, scales: list[Tensor]) -> Tensor:
-        """Sum of per-scale linear predictors mapping each time length to F."""
-        cfg = self.config
-        expected = cfg.scale_lengths()
-        got = [s.shape[-2] for s in scales]
-        if got != expected:
-            raise ad.ShapeError(f"scale ladder {got} != expected {expected}")
-        total: Optional[Tensor] = None
-        for m, x in enumerate(scales):
-            pred = ad.time_linear(x, self.params[f"head.pred{m}.W"])
-            total = pred if total is None else ad.add(total, pred)
-        return total
+    def fmm_forward(self, stack: Tensor) -> Tensor:
+        """Sum of per-scale linear predictors mapping each time length to F:
+        one time map by the stacked (ΣT, F) predictor weights."""
+        lengths = self._check_stack(stack)
+        head = ad.concat([self.params[f"head.pred{m}.W"]
+                          for m in range(len(lengths))])
+        return ad.time_linear(stack, head)
 
     def forward_normalized(self, x_norm: np.ndarray) -> Tensor:
-        """Forward pass on an already-normalized batch (B, P, C) -> (B, F)."""
+        """Forward pass on an already-normalized batch (B, P, C) -> (B, F).
+
+        The scale family is one (B, ΣT, d) tensor, scales stacked finest
+        first along time. The ladder only averages time steps, so it
+        commutes with the per-step embedding and runs first, on C channels.
+        """
         x_norm = np.asarray(x_norm, dtype=np.float64)
         if x_norm.ndim != 3 or x_norm.shape[1:] != (self.config.lookback,
                                                     self.config.channels):
             raise ad.ShapeError(
                 f"expected (batch, {self.config.lookback}, "
                 f"{self.config.channels}), got {x_norm.shape}")
-        h = ad.linear(Tensor(x_norm), self.params["embed.W"], self.params["embed.b"])
-        scales = build_multiscale(h, self.config.num_scales)
+        ladder, _, _ = _stack_maps(self.config.lookback, self.config.num_scales,
+                                   self.config.decomp_kernel)
+        stack = ad.linear(ad.time_linear(Tensor(x_norm), ladder),
+                          self.params["embed.W"], self.params["embed.b"])
         for layer in range(self.config.num_blocks):
-            scales = self.pdm_forward(layer, scales)
-        fused = self.fmm_forward(scales)                       # (B, F, d)
+            stack = self.pdm_forward(layer, stack)
+        fused = self.fmm_forward(stack)                        # (B, F, d)
         y = ad.linear(fused, self.params["out.W"], self.params["out.b"])
         return ad.reshape(y, (x_norm.shape[0], self.config.horizon))
 

@@ -32,6 +32,18 @@ def test_criterion_1_gradient_correctness():
         bias = leaf(rng, 2)
         tw = leaf(rng, 4, 2)
         tb = leaf(rng, 2)
+        w2 = leaf(rng, 3, 2)
+        bias2 = leaf(rng, 2)
+        # time segments of lengths 2, 1, 1: two steps of each chain
+        up_w = [leaf(rng, 2, 1), leaf(rng, 1, 1)]
+        up_b = [leaf(rng, 1), leaf(rng, 1)]
+        down_w = [leaf(rng, 1, 2), leaf(rng, 1, 1)]
+        down_b = [leaf(rng, 2), leaf(rng, 1)]
+        bases = [np.zeros((4, 4)), np.zeros((4, 4))]
+        for base in bases:
+            base[:2, :2] = rng.normal(size=(2, 2))
+            base[2, 2], base[3, 3] = rng.normal(size=2)
+        mixing = (bases[0], up_w, up_b, bases[1], down_w, down_b)
         cases = [
             lambda: ad.mean(ad.multiply(ad.add(a, b), ad.subtract(a, b))),
             lambda: ad.mean(ad.multiply(a, b)),
@@ -47,12 +59,21 @@ def test_criterion_1_gradient_correctness():
                                         ad.transpose_last2(b))),
             lambda: ad.mean(ad.multiply(ad.reshape(a, (3, 4)),
                                         ad.reshape(b, (3, 4)))),
+            lambda: ad.mean(ad.multiply(
+                ad.segment_linear(a, [w, w2], [bias, bias2], [3, 1]),
+                ad.segment_linear(b, [w, w2], [bias, bias2], [3, 1]))),
+            lambda: ad.mean(ad.multiply(
+                ad.time_linear(a, *ad.cascade(*mixing)),
+                ad.time_linear(b, *ad.cascade(*mixing)))),
+            lambda: ad.mean(ad.multiply(ad.concat([tw, w]),
+                                        ad.concat([tw, w]))),
         ]
+        tensors = [a, b, w, bias, tw, tb, w2, bias2, *up_w, *up_b, *down_w,
+                   *down_b]
         for build in cases:
-            for t in (a, b, w, bias, tw, tb):
+            for t in tensors:
                 t.zero_grad()
-            finite_diff_check(build, [a, b, w, bias, tw, tb], eps=1e-5,
-                              tol=1e-4)
+            finite_diff_check(build, tensors, eps=1e-5, tol=1e-4)
 
         model = TimeMixerModel(ModelConfig(lookback=8, horizon=2, d_model=4,
                                            num_blocks=1, num_scales=1,

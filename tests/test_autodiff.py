@@ -335,6 +335,117 @@ class TestNumericGuards:
 SEEDS = range(10)
 
 
+def block_diagonal(rng, lengths):
+    """Random constant (ΣT, ΣT) matrix with square blocks on the diagonal."""
+    out = np.zeros((sum(lengths), sum(lengths)))
+    start = 0
+    for t in lengths:
+        out[start:start + t, start:start + t] = rng.normal(size=(t, t))
+        start += t
+    return out
+
+
+def cascade_args(rng, lengths):
+    """Bases and leaf weights and biases for ``cascade`` over ``lengths``."""
+    pairs = list(zip(lengths, lengths[1:]))
+    return (block_diagonal(rng, lengths),
+            [leaf(rng, fine, coarse) for fine, coarse in pairs],
+            [leaf(rng, coarse) for _, coarse in pairs],
+            block_diagonal(rng, lengths),
+            [leaf(rng, coarse, fine) for fine, coarse in pairs],
+            [leaf(rng, fine) for fine, _ in pairs])
+
+
+class TestSegmentLinear:
+    def test_matches_linear_per_segment(self, rng):
+        x = Tensor(rng.normal(size=(3, 7, 4)))
+        ws = [Tensor(rng.normal(size=(4, 2))) for _ in range(3)]
+        bs = [Tensor(rng.normal(size=2)) for _ in range(3)]
+        got = ad.segment_linear(x, ws, bs, [4, 2, 1]).values
+        parts = np.split(x.values, [4, 6], axis=-2)
+        for part, w, b, out in zip(parts, ws, bs,
+                                   np.split(got, [4, 6], axis=-2)):
+            expected = ad.linear(Tensor(part), w, b).values
+            assert np.max(np.abs(out - expected)) < 1e-12
+
+    def test_segments_must_cover_time_axis(self, rng):
+        x = Tensor(rng.normal(size=(2, 5, 3)))
+        w, b = Tensor(np.zeros((3, 2))), Tensor(np.zeros(2))
+        with pytest.raises(ShapeError):
+            ad.segment_linear(x, [w, w], [b, b], [3, 1])
+        with pytest.raises(ShapeError):
+            ad.segment_linear(x, [w], [b, b], [3, 2])
+        with pytest.raises(ShapeError):
+            ad.segment_linear(x, [w, Tensor(np.zeros((2, 2)))], [b, b],
+                              [3, 2])
+
+
+class TestCascade:
+    @staticmethod
+    def chains(x, up_base, up_w, up_b, down_base, down_w, down_b, lengths):
+        """The recurrence of ``cascade``'s docstring, one segment at a time."""
+        ends = np.cumsum(lengths)
+        cuts = list(zip(ends - lengths, ends))
+        up_maps = [up_base[lo:hi, lo:hi].T for lo, hi in cuts]
+        down_maps = [down_base[lo:hi, lo:hi].T for lo, hi in cuts]
+        xs = [x[..., lo:hi, :] for lo, hi in cuts]
+        up = [up_maps[0] @ xs[0]]
+        for m in range(1, len(lengths)):
+            up.append(up_maps[m] @ xs[m] + up_w[m - 1].values.T @ up[-1]
+                      + up_b[m - 1].values[:, None])
+        down = [down_maps[-1] @ xs[-1]]
+        for m in range(len(lengths) - 2, -1, -1):
+            down.insert(0, down_maps[m] @ xs[m] + down_w[m].values.T
+                        @ down[0] + down_b[m].values[:, None])
+        return np.concatenate([u + v for u, v in zip(up, down)], axis=-2)
+
+    @pytest.mark.parametrize("lengths", [[5], [4, 2], [8, 4, 2, 1], [3, 6]])
+    def test_matches_segment_recurrence(self, rng, lengths):
+        args = cascade_args(rng, lengths)
+        x = rng.normal(size=(2, sum(lengths), 3))
+        a, bias = ad.cascade(*args)
+        got = ad.time_linear(Tensor(x), a, bias).values
+        expected = self.chains(x, *args, lengths)
+        assert np.max(np.abs(got - expected)) < 1e-12
+
+    def test_zero_weights_leave_block_diagonal_sum(self, rng):
+        up_base, up_w, up_b, down_base, down_w, down_b = cascade_args(
+            rng, [4, 2])
+        for t in (*up_w, *up_b, *down_w, *down_b):
+            t.values = np.zeros_like(t.values)
+        a, bias = ad.cascade(up_base, up_w, up_b, down_base, down_w, down_b)
+        assert np.array_equal(a.values, up_base + down_base)
+        assert np.array_equal(bias.values, np.zeros(6))
+
+    def test_shape_mismatch(self, rng):
+        up_base, up_w, up_b, down_base, down_w, down_b = cascade_args(
+            rng, [4, 2])
+        with pytest.raises(ShapeError):
+            ad.cascade(up_base[:5, :5], up_w, up_b, down_base, down_w, down_b)
+        with pytest.raises(ShapeError):
+            ad.cascade(up_base, up_w, up_b, down_base, up_w, down_b)
+        with pytest.raises(ShapeError):
+            ad.cascade(up_base, up_w, [], down_base, down_w, down_b)
+
+    def test_one_node_for_both_outputs(self, rng):
+        args = cascade_args(rng, [4, 2, 1])
+        tape = Tape()
+        with tape:
+            ad.cascade(*args)
+        assert len(tape) == 1
+
+
+class TestConcat:
+    def test_stacks_first_axis(self, rng):
+        parts = [Tensor(rng.normal(size=(n, 3))) for n in (4, 2, 1)]
+        got = ad.concat(parts).values
+        assert np.array_equal(got, np.vstack([p.values for p in parts]))
+
+    def test_trailing_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            ad.concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2)))])
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_finite_difference_all_primitives(seed):
     """Every recorded primitive passes a central finite-difference check."""
@@ -346,6 +457,16 @@ def test_finite_difference_all_primitives(seed):
     c = leaf(rng, 2, 5, 4)
     tw = leaf(rng, 5, 3)
     tb = leaf(rng, 3)
+    e = leaf(rng, 2, 6, 2)
+    w2 = leaf(rng, 4, 3)
+    bias2 = leaf(rng, 3)
+    # three segments, so a gradient passes through two steps of each chain
+    up_base, up_w, up_b, down_base, down_w, down_b = cascade_args(
+        rng, [3, 2, 1])
+    mixing = (up_base, up_w, up_b, down_base, down_w, down_b)
+
+    def square_mean(t):
+        return ad.mean(ad.multiply(t, t))
 
     cases = {
         "add": lambda: ad.mean(ad.multiply(ad.add(a, b), ad.add(a, b))),
@@ -365,8 +486,17 @@ def test_finite_difference_all_primitives(seed):
                                                  ad.transpose_last2(b))),
         "reshape": lambda: ad.mean(ad.multiply(ad.reshape(a, (4, 5)),
                                                ad.reshape(b, (4, 5)))),
+        "segment_linear": lambda: square_mean(
+            ad.segment_linear(c, [w, w2], [bias, bias2], [3, 2])),
+        "cascade": lambda: square_mean(
+            ad.time_linear(e, *ad.cascade(*mixing))),
+        "cascade_map_only": lambda: square_mean(
+            ad.time_linear(e, ad.cascade(*mixing)[0])),
+        "concat": lambda: square_mean(ad.concat([tw, w, tw])),
     }
+    tensors = [a, b, w, bias, c, tw, tb, e, w2, bias2, *up_w, *up_b, *down_w,
+               *down_b]
     for name, build in cases.items():
-        for t in (a, b, w, bias, c, tw, tb):
+        for t in tensors:
             t.zero_grad()
-        finite_diff_check(build, [a, b, w, bias, c, tw, tb])
+        finite_diff_check(build, tensors)

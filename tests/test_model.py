@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import finite_diff_check
+from conftest import FIXTURES, finite_diff_check
 from volmixer import autodiff as ad
 from volmixer.autodiff import Tape, Tensor
 from volmixer.model import (CheckpointError, ModelConfig, TimeMixerModel,
@@ -19,11 +19,19 @@ TINY = ModelConfig(lookback=8, horizon=2, channels=1, d_model=4, num_blocks=1,
                    num_scales=1, decomp_kernel=3, ff_hidden=4, seed=7)
 
 
-def embedded_scales(model, rng, batch=2):
+def embedded_stack(model, rng, batch=2):
+    """Embedded random windows as the stacked (B, ΣT, d) scale family, built
+    by the per-scale reference ``build_multiscale``."""
     cfg = model.config
     x = rng.normal(size=(batch, cfg.lookback, cfg.channels))
     h = ad.linear(Tensor(x), model.params["embed.W"], model.params["embed.b"])
-    return build_multiscale(h, cfg.num_scales)
+    return Tensor(np.concatenate(
+        [s.values for s in build_multiscale(h, cfg.num_scales)], axis=-2))
+
+
+def split_scales(cfg, values):
+    """Cut a stacked (B, ΣT, d) array into its per-scale parts."""
+    return np.split(values, np.cumsum(cfg.scale_lengths())[:-1], axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -176,24 +184,25 @@ class TestPdm:
         for name, t in model.params.items():
             if ".ff" in name and ("W2" in name or "b2" in name):
                 t.values = np.zeros_like(t.values)
-        scales = embedded_scales(model, rng)
-        out = model.pdm_forward(0, scales)
-        for before, after in zip(scales, out):
-            assert np.array_equal(before.values, after.values)
+        stack = embedded_stack(model, rng)
+        out = model.pdm_forward(0, stack)
+        for before, after in zip(split_scales(TINY, stack.values),
+                                 split_scales(TINY, out.values)):
+            assert np.array_equal(before, after)
 
     def test_zero_scale_count_is_ff_of_input(self, rng):
         cfg = ModelConfig(lookback=8, horizon=2, d_model=4, num_blocks=1,
                           num_scales=0, decomp_kernel=3, ff_hidden=4, seed=1)
         model = TimeMixerModel(cfg)
-        scales = embedded_scales(model, rng, batch=1)
-        out = model.pdm_forward(0, scales)
+        stack = embedded_stack(model, rng, batch=1)
+        out = model.pdm_forward(0, stack)
         p = {k: t.values for k, t in model.params.items()}
-        x = scales[0].values
+        x = stack.values
         c = np.sqrt(2 / np.pi)
         hid = x @ p["block0.ff0.W1"] + p["block0.ff0.b1"]
         hid = 0.5 * hid * (1 + np.tanh(c * (hid + 0.044715 * hid ** 3)))
         expected = x + hid @ p["block0.ff0.W2"] + p["block0.ff0.b2"]
-        assert np.max(np.abs(out[0].values - expected)) < 1e-12
+        assert np.max(np.abs(out.values - expected)) < 1e-12
 
     def test_isolated_bottom_up_changes_only_scale_one(self, rng):
         cfg = ModelConfig(lookback=16, horizon=2, d_model=4, num_blocks=1,
@@ -202,12 +211,12 @@ class TestPdm:
         for name, t in base.params.items():
             if "bottom_up" in name or "top_down" in name:
                 t.values = np.zeros_like(t.values)
-        scales = embedded_scales(base, rng)
-        plain = [s.values.copy() for s in base.pdm_forward(0, scales)]
+        stack = embedded_stack(base, rng)
+        plain = split_scales(cfg, base.pdm_forward(0, stack).values)
         rng2 = np.random.default_rng(9)
         base.params["block0.bottom_up1.W"].values = rng2.normal(
             size=base.params["block0.bottom_up1.W"].shape)
-        mixed = [s.values.copy() for s in base.pdm_forward(0, scales)]
+        mixed = split_scales(cfg, base.pdm_forward(0, stack).values)
         assert np.array_equal(plain[0], mixed[0])
         assert not np.array_equal(plain[1], mixed[1])
         assert np.array_equal(plain[2], mixed[2])
@@ -219,20 +228,19 @@ class TestPdm:
         for name, t in model.params.items():
             if "bottom_up" in name:
                 t.values = np.zeros_like(t.values)
-        scales = embedded_scales(model, rng)
-        out_a = [s.values.copy() for s in model.pdm_forward(0, scales)]
+        stack = embedded_stack(model, rng)
+        out_a = split_scales(cfg, model.pdm_forward(0, stack).values)
         # perturbing the finest scale must not reach coarser outputs
-        bumped = [Tensor(s.values.copy()) for s in scales]
-        bumped[0].values += 1.0
-        out_b = [s.values.copy() for s in model.pdm_forward(0, bumped)]
+        bumped = Tensor(stack.values.copy())
+        split_scales(cfg, bumped.values)[0][...] += 1.0
+        out_b = split_scales(cfg, model.pdm_forward(0, bumped).values)
         assert not np.array_equal(out_a[0], out_b[0])
         assert np.array_equal(out_a[1], out_b[1])
         assert np.array_equal(out_a[2], out_b[2])
 
     def test_ladder_mismatch_rejected(self, rng):
         model = TimeMixerModel(TINY)
-        bad = [Tensor(rng.normal(size=(2, 5, 4))),
-               Tensor(rng.normal(size=(2, 4, 4)))]
+        bad = Tensor(rng.normal(size=(2, 5 + 4, 4)))   # ladder is 8 + 4
         with pytest.raises(ad.ShapeError):
             model.pdm_forward(0, bad)
 
@@ -242,29 +250,27 @@ class TestFmm:
         cfg = ModelConfig(lookback=8, horizon=3, d_model=4, num_scales=0,
                           decomp_kernel=3, ff_hidden=4, seed=2)
         model = TimeMixerModel(cfg)
-        scales = embedded_scales(model, rng, batch=1)
-        out = model.fmm_forward(scales)
+        stack = embedded_stack(model, rng, batch=1)
+        out = model.fmm_forward(stack)
         w = model.params["head.pred0.W"].values
-        expected = np.swapaxes(np.swapaxes(scales[0].values, -1, -2) @ w,
-                               -1, -2)
+        expected = np.swapaxes(np.swapaxes(stack.values, -1, -2) @ w, -1, -2)
         assert np.max(np.abs(out.values - expected)) < 1e-12
 
     def test_sum_with_one_nonzero_predictor(self, rng):
         model = TimeMixerModel(TINY)
         model.params["head.pred0.W"].values *= 0.0
-        scales = embedded_scales(model, rng)
-        out = model.fmm_forward(scales)
+        stack = embedded_stack(model, rng)
+        out = model.fmm_forward(stack)
         w = model.params["head.pred1.W"].values
-        expected = np.swapaxes(np.swapaxes(scales[1].values, -1, -2) @ w,
-                               -1, -2)
+        scale1 = split_scales(TINY, stack.values)[1]
+        expected = np.swapaxes(np.swapaxes(scale1, -1, -2) @ w, -1, -2)
         assert np.max(np.abs(out.values - expected)) < 1e-12
 
     def test_linearity(self, rng):
         model = TimeMixerModel(TINY)
-        scales = embedded_scales(model, rng)
-        scaled = [Tensor(3.5 * s.values) for s in scales]
-        lhs = model.fmm_forward(scaled).values
-        rhs = 3.5 * model.fmm_forward(scales).values
+        stack = embedded_stack(model, rng)
+        lhs = model.fmm_forward(Tensor(3.5 * stack.values)).values
+        rhs = 3.5 * model.fmm_forward(stack).values
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -284,6 +290,32 @@ class TestForward:
         got = model.forward(x)
         expected = reference_forward(model, x)
         assert np.max(np.abs(got - expected)) < 1e-10
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(data=st.data(), num_scales=st.integers(0, 3),
+           d_model=st.integers(1, 6), ff_hidden=st.integers(1, 6),
+           horizon=st.integers(1, 5), batch=st.integers(1, 4),
+           num_blocks=st.integers(1, 2))
+    def test_stacked_forward_matches_reference_property(
+            self, data, num_scales, d_model, ff_hidden, horizon, batch,
+            num_blocks):
+        lookback = data.draw(st.integers(2 ** (num_scales + 1), 40))
+        # odd kernels, up to past the whole window (wider than every scale)
+        kernel = 2 * data.draw(st.integers(0, lookback)) + 1
+        model = TimeMixerModel(ModelConfig(
+            lookback=lookback, horizon=horizon, d_model=d_model,
+            num_blocks=num_blocks, num_scales=num_scales,
+            decomp_kernel=kernel, ff_hidden=ff_hidden,
+            seed=data.draw(st.integers(0, 2 ** 16))))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+        for t in model.params.values():     # nonzero biases too
+            t.values = rng.normal(0.0, 0.5, t.shape)
+        x = rng.normal(0.3, 0.1, (batch, lookback, 1))
+        got = model.forward(x)
+        for b in range(batch):
+            expected = reference_forward(model, x[b])
+            scale = max(1.0, float(np.max(np.abs(expected))))
+            assert np.max(np.abs(got[b] - expected)) <= 1e-12 * scale
 
     def test_constant_input_recenters_at_input_level(self):
         model = TimeMixerModel(ModelConfig(seed=1))
@@ -314,20 +346,26 @@ class TestForward:
 
     def test_tape_nodes_of_default_forward(self, rng):
         cfg = ModelConfig()
-        scales = cfg.num_scales + 1
-        # per block: decomposition (moving average, subtract) per scale, two
-        # mixing maps per halving (time_linear, add) and the residual
-        # feedforward (linear, gelu, linear, add, add) per scale
-        per_block = 2 * scales + 2 * 2 * cfg.num_scales + 5 * scales
-        # embed, pools, blocks, summed heads, output projection and reshape
-        expected = (1 + cfg.num_scales + cfg.num_blocks * per_block
-                    + scales + (scales - 1) + 2)
-        assert expected == 93
+        # per block: the cascade that builds the time map and bias, the
+        # mixing time_linear, and the residual feedforward (segment_linear,
+        # gelu, segment_linear, add)
+        per_block = 1 + 1 + 4
+        # the ladder maps the input, which needs no gradient, so it is not
+        # recorded; then embed, blocks, head (concat of the predictor
+        # weights, time_linear), output projection and reshape
+        expected = 1 + cfg.num_blocks * per_block + 2 + 2
+        assert expected == 17
+        # all but the cascades and the head's concat grow with the batch
+        batch_sized = expected - cfg.num_blocks - 1
+        assert batch_sized == 14
+        batch = 2
         tape = Tape()
         with tape:
             TimeMixerModel(cfg).forward_normalized(
-                rng.normal(size=(2, cfg.lookback, cfg.channels)))
+                rng.normal(size=(batch, cfg.lookback, cfg.channels)))
         assert len(tape) == expected
+        assert sum(node.outputs[0].shape[0] == batch
+                   for node in tape.nodes) == batch_sized
 
     def test_shape_mismatch(self, rng):
         model = TimeMixerModel(ModelConfig())
@@ -365,6 +403,16 @@ class TestCheckpoint:
         loaded = TimeMixerModel.load(path)
         assert loaded.config == model.config
         assert np.array_equal(loaded.forward(x), before)
+
+    def test_checkpoint_from_per_scale_model_matches_reference(self):
+        # tiny_v1.ckpt was written by ``save`` of the per-scale model that
+        # preceded the stacked layout, with every parameter drawn at random
+        model = TimeMixerModel.load(f"{FIXTURES}/tiny_v1.ckpt")
+        assert model.config.num_scales == 2 and model.config.num_blocks == 2
+        assert model.config.decomp_kernel > model.config.scale_lengths()[-1]
+        x = np.random.default_rng(5).normal(0.3, 0.08, (16, 1))
+        expected = reference_forward(model, x)
+        assert np.max(np.abs(model.forward(x) - expected)) < 1e-12
 
     def test_manifest_validated_against_config(self, tmp_path):
         model = TimeMixerModel(TINY)
