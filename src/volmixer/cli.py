@@ -22,6 +22,7 @@ from pathlib import Path
 from volmixer import __version__
 from volmixer import evaluation, market_data
 from volmixer.atomic import write_atomic
+from volmixer.autodiff import NumericError
 from volmixer.market_data import (AssetRoster, FetchError, EmptyDataError,
                                   cache_path, fetch_ohlcv, parse_ohlcv_csv,
                                   serialize_ohlcv_csv)
@@ -49,7 +50,6 @@ class RunConfig:
     endpoint: str = DEFAULT_ENDPOINT
     lookback: int = 64
     horizons: list[int] = field(default_factory=lambda: list(evaluation.HORIZONS))
-    channels: int = 1
     covariates: bool = False
     d_model: int = 32
     num_blocks: int = 2
@@ -84,9 +84,10 @@ class RunConfig:
             raise ValidationFailure(str(exc)) from exc
 
     def model_config(self, horizon: int) -> ModelConfig:
-        channels = 3 if self.covariates else self.channels
+        # feature_matrix: volatility alone, or with log return and log volume
         return ModelConfig(lookback=self.lookback, horizon=horizon,
-                           channels=channels, d_model=self.d_model,
+                           channels=3 if self.covariates else 1,
+                           d_model=self.d_model,
                            num_blocks=self.num_blocks,
                            num_scales=self.num_scales,
                            decomp_kernel=self.decomp_kernel,
@@ -160,7 +161,7 @@ def _prepare_dataset(config: RunConfig, series, horizon: int):
 # recorded and stepped over: a ticker's load failure, then a pair's failure
 LOAD_ERRORS = (FetchError, market_data.FormatError, market_data.ValidationError)
 PAIR_ERRORS = (TrainingError, market_data.LengthError, market_data.SplitError,
-               ConfigError, CheckpointError)
+               ConfigError, CheckpointError, NumericError)
 
 
 def _record_failure(failures: list, exc: Exception, label: str, **where):
@@ -253,8 +254,7 @@ def _score_pairs(config: RunConfig, get_model) -> int:
 
     def work(entry, horizon, dataset):
         model = get_model(entry, horizon, dataset)
-        pair_records, plot = evaluation.score_pair(
-            model, dataset, entry.ticker, f"{entry.start}..{entry.end}")
+        pair_records, plot = evaluation.score_pair(model, dataset, entry.ticker)
         records.extend(pair_records)
         plots[f"{entry.ticker}_F{horizon}"] = plot
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from volmixer.atomic import write_atomic
 from volmixer.market_data import WindowedDataset
-from volmixer.model import TimeMixerModel
+from volmixer.model import EVAL_BATCH, TimeMixerModel
 
 CSV_HEADER = "ticker,horizon,mae,mse,rmse,n_samples"
 
@@ -31,8 +31,6 @@ class MetricsRecord:
     mse: float
     rmse: float
     n_samples: int
-    model_config_hash: str = ""
-    data_range: str = ""
 
     def __post_init__(self):
         if min(self.mae, self.mse, self.rmse) < 0:
@@ -93,27 +91,24 @@ def baseline_window_mean(lookback: np.ndarray, horizon: int,
     return np.repeat(means, horizon, axis=1)
 
 
-def predict_test(model: TimeMixerModel, dataset: WindowedDataset,
-                 batch_size: int = 256) -> np.ndarray:
+def predict_test(model: TimeMixerModel, dataset: WindowedDataset) -> np.ndarray:
     """Denormalized forecasts for every test sample, (N_test, F)."""
     x_test, _ = dataset.test
-    preds = [model.forward(x_test[lo:lo + batch_size])
-             for lo in range(0, x_test.shape[0], batch_size)]
+    preds = [model.forward(x_test[lo:lo + EVAL_BATCH])
+             for lo in range(0, x_test.shape[0], EVAL_BATCH)]
     return np.concatenate(preds, axis=0)
 
 
-def score(ticker: str, horizon: int, pred: np.ndarray, target: np.ndarray,
-          model_config_hash: str = "", data_range: str = "") -> MetricsRecord:
+def score(ticker: str, horizon: int, pred: np.ndarray,
+          target: np.ndarray) -> MetricsRecord:
     m = mse(pred, target)
     return MetricsRecord(ticker=ticker, horizon=horizon,
                          mae=mae(pred, target), mse=m, rmse=math.sqrt(m),
-                         n_samples=int(np.asarray(pred).shape[0]),
-                         model_config_hash=model_config_hash,
-                         data_range=data_range)
+                         n_samples=int(np.asarray(pred).shape[0]))
 
 
-def score_pair(model: TimeMixerModel, dataset: WindowedDataset, ticker: str,
-               data_range: str = "") -> tuple[list[MetricsRecord], tuple]:
+def score_pair(model: TimeMixerModel, dataset: WindowedDataset,
+               ticker: str) -> tuple[list[MetricsRecord], tuple]:
     """Score one (ticker, horizon) pair on its test split.
 
     Returns the model's, persistence's and window mean's records, and the
@@ -124,11 +119,11 @@ def score_pair(model: TimeMixerModel, dataset: WindowedDataset, ticker: str,
     pred = predict_test(model, dataset)
     x_test, y_test = dataset.test
     records = [
-        score(ticker, horizon, pred, y_test, model.config.hash(), data_range),
+        score(ticker, horizon, pred, y_test),
         score(f"{ticker}:persistence", horizon,
-              baseline_persistence(x_test, horizon), y_test, "", data_range),
+              baseline_persistence(x_test, horizon), y_test),
         score(f"{ticker}:window_mean", horizon,
-              baseline_window_mean(x_test, horizon), y_test, "", data_range),
+              baseline_window_mean(x_test, horizon), y_test),
     ]
     first = dataset.test_range[0] + dataset.lookback
     dates = [str(d) for d in dataset.dates[first:first + horizon]]
@@ -185,15 +180,14 @@ def records_to_markdown(records: Sequence[MetricsRecord]) -> str:
 
 
 def forecast_plot_svg(dates, actual: np.ndarray, predicted: np.ndarray,
-                      title: str = "", width: int = 800,
-                      height: int = 300) -> str:
-    """Plain-XML SVG line plot of actual vs predicted series."""
+                      title: str = "") -> str:
+    """Plain-XML SVG line plot (800 x 300) of actual vs predicted series."""
     actual = np.asarray(actual, dtype=np.float64)
     predicted = np.asarray(predicted, dtype=np.float64)
     n = actual.size
     if n == 0 or predicted.size != n:
         raise EvaluationError("plot series must be nonempty and equal length")
-    pad = 40
+    width, height, pad = 800, 300, 40
     lo = min(actual.min(), predicted.min())
     hi = max(actual.max(), predicted.max())
     span = (hi - lo) or 1.0

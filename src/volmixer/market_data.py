@@ -22,6 +22,8 @@ import numpy as np
 TRADING_DAYS_PER_YEAR = 252
 DEFAULT_VOL_WINDOW = 21
 CSV_HEADER = "Date,Open,High,Low,Close,Volume"
+FETCH_ATTEMPTS = 3
+FETCH_BACKOFF_S = 0.5   # sleep before the second attempt; doubles after
 
 
 class FetchError(RuntimeError):
@@ -146,8 +148,6 @@ class RosterEntry:
     ticker: str
     start: date
     end: date
-    display_name: str
-    asset_class: str  # stock | index_etf | forex | crypto
 
 
 @dataclass
@@ -165,12 +165,12 @@ class AssetRoster:
 
     @classmethod
     def from_json(cls, path) -> "AssetRoster":
+        """Read a JSON list of ``{"ticker", "start", "end"}`` objects; other
+        keys are ignored."""
         raw = json.loads(Path(path).read_text())
         entries = [RosterEntry(ticker=e["ticker"],
                                start=date.fromisoformat(e["start"]),
-                               end=date.fromisoformat(e["end"]),
-                               display_name=e.get("display_name", e["ticker"]),
-                               asset_class=e.get("asset_class", "stock"))
+                               end=date.fromisoformat(e["end"]))
                    for e in raw]
         return cls(entries)
 
@@ -301,12 +301,13 @@ def parse_chart_json(payload, ticker: str) -> FetchResult:
 
 
 def fetch_ohlcv(ticker: str, start: date, end: date, endpoint: str,
-                fixtures_dir=None, retries: int = 3,
-                backoff: float = 0.5) -> FetchResult:
+                fixtures_dir=None) -> FetchResult:
     """Fetch daily candles for [start, end] from a chart-API endpoint.
 
+    Makes up to ``FETCH_ATTEMPTS`` requests, sleeping 0.5 s and then 1 s
+    between them, and raises ``FetchError`` right after the last one fails.
     With ``fixtures_dir`` set, reads ``<fixtures_dir>/<ticker>.json`` instead
-    of touching the network (all tests run this way).
+    of touching the network.
     """
     if start >= end:
         raise ValidationError(f"{ticker}: start {start} not before end {end}")
@@ -327,7 +328,9 @@ def fetch_ohlcv(ticker: str, start: date, end: date, endpoint: str,
         }
         url = f"{endpoint.rstrip('/')}/{ticker}"
         last_exc = None
-        for attempt in range(retries):
+        for attempt in range(FETCH_ATTEMPTS):
+            if attempt:
+                time.sleep(FETCH_BACKOFF_S * 2 ** (attempt - 1))
             try:
                 resp = requests.get(url, params=params, timeout=30)
                 resp.raise_for_status()
@@ -335,9 +338,8 @@ def fetch_ohlcv(ticker: str, start: date, end: date, endpoint: str,
                 break
             except (requests.RequestException, OSError) as exc:
                 last_exc = exc
-                time.sleep(backoff * (2 ** attempt))
         else:
-            raise FetchError(f"{ticker}: fetch failed after {retries} "
+            raise FetchError(f"{ticker}: fetch failed after {FETCH_ATTEMPTS} "
                              f"attempts: {last_exc}") from last_exc
     days = result.series.days
     kept = result.series.take((days >= np.datetime64(start))

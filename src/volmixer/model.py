@@ -9,7 +9,6 @@ along channels and is shared across time.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import struct
 from dataclasses import dataclass, asdict
@@ -24,6 +23,7 @@ from volmixer.multiscale import ConfigError, build_multiscale, series_decomp
 _MAGIC = b"VOLMIXCK"
 _FORMAT_VERSION = 1
 _STD_FLOOR = 1e-8
+EVAL_BATCH = 256    # windows per forward-only call when scoring a split
 
 
 class CheckpointError(ValueError):
@@ -61,10 +61,6 @@ class ModelConfig:
     def scale_lengths(self) -> list[int]:
         return [self.lookback // (2 ** m) for m in range(self.num_scales + 1)]
 
-    def hash(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
-
 
 @dataclass
 class NormStats:
@@ -92,13 +88,14 @@ def instance_normalize(x: np.ndarray) -> tuple[np.ndarray, NormStats]:
     return out, NormStats(mean=mu, std=sd)
 
 
-def denormalize(y: np.ndarray, stats: NormStats, channel: int = 0) -> np.ndarray:
-    """Invert instance normalization for one channel of the forecast."""
+def denormalize(y: np.ndarray, stats: NormStats) -> np.ndarray:
+    """Invert instance normalization of the forecast, using channel 0 (the
+    volatility target)."""
     y = np.asarray(y, dtype=np.float64)
     squeeze = y.ndim == 1
     if squeeze:
         y = y[None]
-    out = y * stats.std[:, channel:channel + 1] + stats.mean[:, channel:channel + 1]
+    out = y * stats.std[:, 0:1] + stats.mean[:, 0:1]
     return out[0] if squeeze else out
 
 
@@ -261,16 +258,14 @@ class TimeMixerModel:
         y = ad.linear(fused, self.params["out.W"], self.params["out.b"])
         return ad.reshape(y, (x_norm.shape[0], self.config.horizon))
 
-    def forward(self, x: np.ndarray, denorm: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         """Predict from raw windows; (P, C) or (B, P, C) -> (F,) or (B, F)."""
         x = np.asarray(x, dtype=np.float64)
         squeeze = x.ndim == 2
         if squeeze:
             x = x[None]
         x_norm, stats = instance_normalize(x)
-        out = self.forward_normalized(x_norm).values
-        if denorm:
-            out = denormalize(out, stats)
+        out = denormalize(self.forward_normalized(x_norm).values, stats)
         return out[0] if squeeze else out
 
     # -- checkpointing ------------------------------------------------------
@@ -301,7 +296,8 @@ class TimeMixerModel:
         Raises ``CheckpointError`` for any malformed file: bad magic, a
         truncated or undecodable header, missing or ill-typed header fields,
         an unsupported version, a manifest that differs from the config's
-        parameters, and a payload of the wrong length.
+        parameters, a payload of the wrong length and a parameter holding
+        NaN or infinity.
         """
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -351,7 +347,9 @@ class TimeMixerModel:
                 raise ValueError(f"{name} at offset {entry['offset']}, "
                                  f"expected {start}")
             n = int(np.prod(expected[name]))
-            model.params[name].values = flat[start:start + n].reshape(
-                expected[name]).copy()
+            values = flat[start:start + n]
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} holds NaN or infinity")
+            model.params[name].values = values.reshape(expected[name]).copy()
             start += n
         return model

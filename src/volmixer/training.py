@@ -19,7 +19,7 @@ from volmixer import autodiff as ad
 from volmixer.atomic import write_atomic
 from volmixer.autodiff import Tape, Tensor
 from volmixer.market_data import WindowedDataset
-from volmixer.model import TimeMixerModel, instance_normalize
+from volmixer.model import EVAL_BATCH, TimeMixerModel, instance_normalize
 
 
 class TrainingError(RuntimeError):
@@ -32,8 +32,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     max_epochs: int = 300
     patience: int = 15
-    adam_betas: tuple[float, float] = (0.9, 0.999)
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def validate(self) -> None:
@@ -43,9 +41,6 @@ class TrainConfig:
             raise TrainingError("learning_rate must be >= 0")
         if self.patience < 0 or self.patience > self.max_epochs:
             raise TrainingError("need 0 <= patience <= max_epochs")
-        b1, b2 = self.adam_betas
-        if not (0 < b1 < 1 and 0 < b2 < 1):
-            raise TrainingError("adam betas must lie in (0, 1)")
 
 
 @dataclass
@@ -84,12 +79,11 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
 class Adam:
     """Standard Adam over a named parameter dict of Tensors."""
 
-    def __init__(self, params: dict[str, Tensor], learning_rate: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    b1, b2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict[str, Tensor], learning_rate: float = 1e-3):
         self.params = params
         self.lr = learning_rate
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.step_count = 0
         self.m = {k: np.zeros_like(t.values) for k, t in params.items()}
         self.v = {k: np.zeros_like(t.values) for k, t in params.items()}
@@ -119,12 +113,11 @@ def _normalized_batch(x: np.ndarray, y: np.ndarray):
     return x_norm, y_norm
 
 
-def evaluate_split(model: TimeMixerModel, x: np.ndarray, y: np.ndarray,
-                   batch_size: int = 256) -> float:
+def evaluate_split(model: TimeMixerModel, x: np.ndarray, y: np.ndarray) -> float:
     """Normalized-scale MSE over a split, without recording gradients."""
     total, count = 0.0, 0
-    for lo in range(0, x.shape[0], batch_size):
-        xb, yb = _normalized_batch(x[lo:lo + batch_size], y[lo:lo + batch_size])
+    for lo in range(0, x.shape[0], EVAL_BATCH):
+        xb, yb = _normalized_batch(x[lo:lo + EVAL_BATCH], y[lo:lo + EVAL_BATCH])
         pred = model.forward_normalized(xb).values
         total += float(np.sum((pred - yb) ** 2))
         count += yb.size
@@ -145,8 +138,7 @@ def train(model: TimeMixerModel, dataset: WindowedDataset,
         raise TrainingError("train and val splits must be nonempty")
 
     rng = np.random.default_rng(config.seed)
-    optimizer = Adam(model.params, config.learning_rate,
-                     config.adam_betas, config.adam_eps)
+    optimizer = Adam(model.params, config.learning_rate)
     report = TrainReport()
     best_params = model.snapshot_parameters()
     since_best = 0

@@ -1,11 +1,14 @@
 import json
+import struct
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
 from volmixer import cli
-from volmixer.market_data import parse_ohlcv_csv
+from volmixer.market_data import (feature_matrix, parse_chart_json,
+                                  parse_ohlcv_csv)
+from volmixer.model import TimeMixerModel
 
 
 def synth_chart_json(seed, n=420, start=date(2020, 1, 2)):
@@ -41,8 +44,7 @@ def workspace(tmp_path):
         payload, days = synth_chart_json(seed=100 + i)
         (fixtures / f"{ticker}.json").write_text(json.dumps(payload))
         entries.append({"ticker": ticker, "start": days[0].isoformat(),
-                        "end": days[-1].isoformat(),
-                        "display_name": ticker, "asset_class": "stock"})
+                        "end": days[-1].isoformat()})
     roster = tmp_path / "roster.json"
     roster.write_text(json.dumps(entries))
     config = tmp_path / "config.json"
@@ -130,6 +132,24 @@ class TestConfig:
         loaded = cli.load_run_config(config, ["d_model=16", "horizons=[4,8]"])
         assert loaded.d_model == 16
         assert loaded.horizons == [4, 8]
+
+    @pytest.mark.parametrize("covariates", [False, True])
+    def test_channels_follow_feature_matrix(self, workspace, covariates):
+        _, config, _ = workspace
+        loaded = cli.load_run_config(config, [])
+        loaded.covariates = covariates
+        payload, _ = synth_chart_json(seed=3)
+        series = parse_chart_json(json.dumps(payload), "X").series
+        values, _ = feature_matrix(series, covariates=covariates)
+        assert loaded.model_config(4).channels == values.shape[1]
+
+    def test_channels_is_not_a_setting(self, workspace, capsys):
+        tmp, config, fixtures = workspace
+        run_cli(config, "fetch", "--fixtures", str(fixtures))
+        capsys.readouterr()
+        assert run_cli(config, "run", "--set", "channels=2") == 1
+        assert "unknown config key 'channels'" in capsys.readouterr().err
+        assert not (tmp / "out").exists()
 
     def test_missing_roster(self, tmp_path):
         config = tmp_path / "c.json"
@@ -261,12 +281,37 @@ class TestPipeline:
         run_cli(config, "fetch", "--fixtures", str(fixtures))
         assert run_cli(config, "train") == 0
         ckpt = tmp / "out" / "ALPHA_F4.ckpt"
-        ckpt.write_bytes(ckpt.read_bytes()[:-8])
-        assert run_cli(config, "eval") == 3
+        blob = ckpt.read_bytes()
+        nan = struct.pack("<d", float("nan"))
+        # a truncated payload, then NaN in the last parameter, out.b
+        for corrupt, error in [(blob[:-8], "payload"),
+                               (blob[:-8] + nan, "out.b")]:
+            ckpt.write_bytes(corrupt)
+            assert run_cli(config, "eval") == 3
+            manifest = json.loads((tmp / "out" / "manifest.json").read_text())
+            assert [(f["ticker"], f["horizon"])
+                    for f in manifest["failures"]] == [("ALPHA", 4)]
+            assert error in manifest["failures"][0]["error"]
+            csv = (tmp / "out" / "metrics.csv").read_text()
+            assert "BETA," in csv and "ALPHA" not in csv
+
+    def test_overflowing_forward_fails_only_its_pair(self, workspace, capsys):
+        tmp, config, fixtures = workspace
+        run_cli(config, "fetch", "--fixtures", str(fixtures))
+        assert run_cli(config, "train") == 0
+        ckpt = tmp / "out" / "ALPHA_F4.ckpt"
+        model = TimeMixerModel.load(ckpt)
+        for name in ("embed.W", "block0.ff0.W1"):
+            model.params[name].values[...] = 1e200
+        model.save(ckpt)    # finite, so it loads; scoring overflows
+        capsys.readouterr()
+        with np.errstate(over="ignore"):
+            assert run_cli(config, "eval") == 3
+        assert "non-finite" in capsys.readouterr().err
         manifest = json.loads((tmp / "out" / "manifest.json").read_text())
         assert [(f["ticker"], f["horizon"]) for f in manifest["failures"]] \
             == [("ALPHA", 4)]
-        assert "payload" in manifest["failures"][0]["error"]
+        assert manifest["records"] == 3
         csv = (tmp / "out" / "metrics.csv").read_text()
         assert "BETA," in csv and "ALPHA" not in csv
 

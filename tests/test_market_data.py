@@ -4,6 +4,7 @@ from datetime import date
 
 import numpy as np
 import pytest
+import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -273,6 +274,57 @@ class TestFetch:
             md.fetch_ohlcv("X", date(2021, 1, 1), date(2020, 1, 1), "unused")
 
 
+class TestFetchNetwork:
+    """The request path, with ``requests.get`` and ``time.sleep`` patched."""
+
+    @pytest.fixture
+    def network(self, monkeypatch):
+        body = json.dumps(chart_payload(
+            ["2020-01-02", "2020-01-03"],
+            {"open": [1, 1], "high": [2, 2], "low": [0.5, 0.5],
+             "close": [1.5, 1.6], "volume": [10, 20]})).encode()
+        outcomes, calls, sleeps = [], [], []
+
+        class Response:
+            content = body
+
+            def raise_for_status(self):
+                pass
+
+        def get(url, params, timeout):
+            calls.append((url, params))
+            if outcomes.pop(0) == "fail":
+                raise requests.ConnectionError("connection refused")
+            return Response()
+
+        monkeypatch.setattr(requests, "get", get)
+        monkeypatch.setattr(md.time, "sleep", sleeps.append)
+        return outcomes, calls, sleeps
+
+    def fetch(self):
+        return md.fetch_ohlcv("X", date(2020, 1, 1), date(2020, 1, 31),
+                              "https://chart.test/v8/chart/")
+
+    def test_retries_until_success(self, network):
+        outcomes, calls, sleeps = network
+        outcomes.extend(["fail", "fail", "ok"])
+        result = self.fetch()
+        assert result.series.close.tolist() == [1.5, 1.6]
+        assert sleeps == [0.5, 1.0]
+        assert len(calls) == 3
+        url, params = calls[0]
+        assert url == "https://chart.test/v8/chart/X"
+        assert params["interval"] == "1d"
+
+    def test_no_sleep_after_last_failure(self, network):
+        outcomes, calls, sleeps = network
+        outcomes.extend(["fail"] * 3)
+        with pytest.raises(md.FetchError, match="after 3 attempts"):
+            self.fetch()
+        assert sleeps == [0.5, 1.0]
+        assert len(calls) == 3
+
+
 class TestLogReturns:
     def test_constant_prices(self):
         assert md.compute_log_returns([100, 100, 100]).tolist() == [0.0, 0.0]
@@ -486,13 +538,16 @@ class TestRoster:
         ]))
         roster = md.AssetRoster.from_json(path)
         assert [e.ticker for e in roster.entries] == ["AAPL", "BTCUSD"]
+        # keys other than ticker, start and end are ignored
+        assert roster.entries[0] == md.RosterEntry(
+            "AAPL", date(2010, 1, 1), date(2023, 12, 31))
 
     def test_duplicate_tickers_rejected(self):
-        entry = md.RosterEntry("A", date(2020, 1, 1), date(2021, 1, 1), "A", "stock")
+        entry = md.RosterEntry("A", date(2020, 1, 1), date(2021, 1, 1))
         with pytest.raises(ValidationError):
             md.AssetRoster([entry, entry])
 
     def test_inverted_range_rejected(self):
-        entry = md.RosterEntry("A", date(2021, 1, 1), date(2020, 1, 1), "A", "stock")
+        entry = md.RosterEntry("A", date(2021, 1, 1), date(2020, 1, 1))
         with pytest.raises(ValidationError):
             md.AssetRoster([entry])

@@ -103,7 +103,7 @@ class TestInstanceNormalize:
     def test_round_trip(self, rng):
         x = rng.normal(2.0, 3.0, (5, 16, 2))
         out, stats = instance_normalize(x)
-        back = denormalize(out[..., 0], stats, channel=0)
+        back = denormalize(out[..., 0], stats)
         assert np.max(np.abs(back - x[..., 0])) < 1e-10
 
     @settings(derandomize=True, deadline=None, max_examples=200)
@@ -116,7 +116,7 @@ class TestInstanceNormalize:
             if flat:                        # constant window: floored std
                 x[b] = x[b, :1]
         out, stats = instance_normalize(x)
-        back = denormalize(out[..., 0], stats, channel=0)
+        back = denormalize(out[..., 0], stats)
         scale = np.maximum(np.abs(x[..., 0]).max(axis=1, keepdims=True), 1.0)
         assert np.all(np.abs(back - x[..., 0]) <= 1e-12 * scale)
 
@@ -482,6 +482,21 @@ class TestCheckpoint:
         path.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw
                          + blob[12 + hlen:])
         with pytest.raises(CheckpointError):
+            TimeMixerModel.load(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index, name", [(0, "embed.W"), (-1, "out.b")])
+    def test_non_finite_parameter_is_checkpoint_error(self, tmp_path, value,
+                                                      index, name):
+        path = tmp_path / "model.ckpt"
+        TimeMixerModel(TINY).save(path)
+        blob = bytearray(path.read_bytes())
+        (hlen,) = struct.unpack("<I", blob[8:12])
+        payload = np.frombuffer(blob, dtype="<f8", offset=12 + hlen).copy()
+        payload[index] = value
+        blob[12 + hlen:] = payload.tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match=name):
             TimeMixerModel.load(path)
 
     def test_bad_magic(self, tmp_path):

@@ -59,7 +59,7 @@ class TestAdam:
     def test_single_step_matches_hand_computation(self):
         p = Tensor([0.5], requires_grad=True)
         p.grad = np.array([0.2])
-        opt = Adam({"p": p}, learning_rate=0.01, betas=(0.9, 0.999), eps=1e-8)
+        opt = Adam({"p": p}, learning_rate=0.01)
         opt.step()
         # bias-corrected first step: m_hat = g, v_hat = g^2
         expected = 0.5 - 0.01 * 0.2 / (np.sqrt(0.04) + 1e-8)
@@ -85,8 +85,6 @@ class TestTrain:
     def test_config_validation(self):
         with pytest.raises(TrainingError):
             TrainConfig(patience=10, max_epochs=5).validate()
-        with pytest.raises(TrainingError):
-            TrainConfig(adam_betas=(1.2, 0.9)).validate()
 
     def test_zero_learning_rate_keeps_params(self):
         ds = sine_dataset()
