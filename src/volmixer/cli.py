@@ -56,9 +56,6 @@ class RunConfig:
     num_scales: int = 3
     decomp_kernel: int = 25
     ff_hidden: int = 64
-    vol_window: int = 21
-    periods_per_year: int = 252
-    test_fraction: float = 0.2
     batch_size: int = 32
     learning_rate: float = 1e-3
     max_epochs: int = 300
@@ -71,8 +68,6 @@ class RunConfig:
                                     "positive integers")
         if not Path(self.roster).exists():
             raise ValidationFailure(f"roster file not found: {self.roster}")
-        if not 0 < self.test_fraction < 1:
-            raise ValidationFailure("test_fraction must be in (0, 1)")
         # surfaces model shape problems before any data work
         try:
             self.model_config(self.horizons[0]).validate()
@@ -150,12 +145,11 @@ def _load_cached(config: RunConfig, entry) -> market_data.OhlcvSeries:
 
 
 def _prepare_dataset(config: RunConfig, series, horizon: int):
-    values, dates = market_data.feature_matrix(
-        series, window=config.vol_window, covariates=config.covariates,
-        periods_per_year=config.periods_per_year)
+    values, dates = market_data.feature_matrix(series,
+                                               covariates=config.covariates)
     dataset = market_data.make_windows(values, config.lookback, horizon,
                                        dates=dates)
-    return market_data.split_chronological(dataset, config.test_fraction)
+    return market_data.split_chronological(dataset)
 
 
 # recorded and stepped over: a ticker's load failure, then a pair's failure
@@ -281,7 +275,14 @@ def _load_checkpoint(config: RunConfig, entry, horizon: int):
     if not ckpt.exists():
         raise evaluation.EvaluationError(
             f"missing checkpoint {ckpt}; run 'train' first")
-    return TimeMixerModel.load(ckpt)
+    model = TimeMixerModel.load(ckpt)
+    wanted = config.model_config(horizon)
+    for key in ("lookback", "channels", "horizon"):
+        found, want = getattr(model.config, key), getattr(wanted, key)
+        if found != want:
+            raise CheckpointError(f"{ckpt}: checkpoint has {key} {found}, "
+                                  f"the run config {want}")
+    return model
 
 
 def cmd_eval(config: RunConfig) -> int:

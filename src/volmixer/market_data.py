@@ -165,13 +165,29 @@ class AssetRoster:
 
     @classmethod
     def from_json(cls, path) -> "AssetRoster":
-        """Read a JSON list of ``{"ticker", "start", "end"}`` objects; other
-        keys are ignored."""
-        raw = json.loads(Path(path).read_text())
-        entries = [RosterEntry(ticker=e["ticker"],
-                               start=date.fromisoformat(e["start"]),
-                               end=date.fromisoformat(e["end"]))
-                   for e in raw]
+        """Read a JSON list of ``{"ticker", "start", "end"}`` objects with ISO
+        dates; other keys are ignored. A malformed roster raises
+        ``ValidationError`` naming the entry and the problem."""
+        try:
+            raw = json.loads(Path(path).read_text())
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: roster is not JSON: {exc}") from exc
+        if not isinstance(raw, list):
+            raise ValidationError(f"{path}: roster is not a JSON list")
+        entries = []
+        for i, e in enumerate(raw):
+            try:
+                if not isinstance(e, dict):
+                    raise TypeError("not an object")
+                entries.append(RosterEntry(ticker=e["ticker"],
+                                           start=date.fromisoformat(e["start"]),
+                                           end=date.fromisoformat(e["end"])))
+            except KeyError as exc:
+                raise ValidationError(f"{path}: roster entry {i} lacks "
+                                      f"{exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"{path}: roster entry {i}: "
+                                      f"{exc}") from exc
         return cls(entries)
 
 

@@ -9,7 +9,9 @@ along channels and is shared across time.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
+import math
 import struct
 from dataclasses import dataclass, asdict
 
@@ -128,6 +130,16 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+def _manifest(config: ModelConfig) -> list[dict]:
+    """The one layout of ``flat`` for init, save and load: each parameter's
+    name, shape and offset, in ``parameter_shapes`` order."""
+    manifest, offset = [], 0
+    for name, shape in parameter_shapes(config).items():
+        manifest.append({"name": name, "shape": list(shape), "offset": offset})
+        offset += math.prod(shape)
+    return manifest
+
+
 @functools.lru_cache(maxsize=64)
 def _stack_maps(lookback: int, num_scales: int,
                 kernel: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -159,32 +171,25 @@ class TimeMixerModel:
 
     Weights are uniform in +-1/sqrt(fan_in); biases start at zero. Predictor
     maps in the head are bias-free so the head is exactly linear.
+
+    Each ``params[name].values`` is a view into one float64 vector, ``flat``,
+    laid out by ``_manifest``, so parameters are written in place.
     """
 
     def __init__(self, config: ModelConfig):
         config.validate()
         self.config = config
         rng = np.random.default_rng(config.seed)
+        manifest = _manifest(config)
+        self.flat = np.zeros(sum(math.prod(e["shape"]) for e in manifest))
         self.params: dict[str, Tensor] = {}
-        for name, shape in parameter_shapes(config).items():
-            if name.endswith(".b") or ".b1" in name or ".b2" in name:
-                values = np.zeros(shape)
-            else:
+        for entry in manifest:
+            name, shape, start = entry["name"], entry["shape"], entry["offset"]
+            values = self.flat[start:start + math.prod(shape)].reshape(shape)
+            if not (name.endswith(".b") or ".b1" in name or ".b2" in name):
                 bound = 1.0 / np.sqrt(shape[0])
-                values = rng.uniform(-bound, bound, size=shape)
+                values[...] = rng.uniform(-bound, bound, size=shape)
             self.params[name] = Tensor(values, requires_grad=True)
-
-    # -- parameter access ---------------------------------------------------
-
-    def parameter_vector(self) -> np.ndarray:
-        return np.concatenate([t.values.ravel() for t in self.params.values()])
-
-    def load_parameter_values(self, values: dict[str, np.ndarray]) -> None:
-        for name, tensor in self.params.items():
-            tensor.values = np.asarray(values[name], dtype=np.float64).copy()
-
-    def snapshot_parameters(self) -> dict[str, np.ndarray]:
-        return {name: t.values.copy() for name, t in self.params.items()}
 
     def zero_grads(self) -> None:
         for t in self.params.values():
@@ -271,23 +276,14 @@ class TimeMixerModel:
     # -- checkpointing ------------------------------------------------------
 
     def save(self, path) -> None:
-        """Write a versioned checkpoint: JSON header plus raw LE float64."""
-        manifest = []
-        offset = 0
-        for name, tensor in self.params.items():
-            manifest.append({"name": name, "shape": list(tensor.shape),
-                             "offset": offset})
-            offset += tensor.size
+        """Write a versioned checkpoint: JSON header, then ``flat`` as LE f8."""
         header = json.dumps({
             "format_version": _FORMAT_VERSION,
             "config": asdict(self.config),
-            "manifest": manifest,
+            "manifest": _manifest(self.config),
         }).encode()
-        payload = np.concatenate(
-            [t.values.ravel() for t in self.params.values()]
-        ).astype("<f8").tobytes()
-        write_atomic(path, b"".join(
-            [_MAGIC, struct.pack("<I", len(header)), header, payload]))
+        write_atomic(path, b"".join([_MAGIC, struct.pack("<I", len(header)),
+                                     header, self.flat.astype("<f8").tobytes()]))
 
     @classmethod
     def load(cls, path) -> "TimeMixerModel":
@@ -296,8 +292,8 @@ class TimeMixerModel:
         Raises ``CheckpointError`` for any malformed file: bad magic, a
         truncated or undecodable header, missing or ill-typed header fields,
         an unsupported version, a manifest that differs from the config's
-        parameters, a payload of the wrong length and a parameter holding
-        NaN or infinity.
+        layout, a payload of the wrong length and a parameter holding NaN or
+        infinity.
         """
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -325,31 +321,20 @@ class TimeMixerModel:
             raise ValueError(f"unsupported checkpoint version "
                              f"{header['format_version']}")
         config = ModelConfig(**header["config"])
-        expected = parameter_shapes(config)
-        found = [(entry["name"], tuple(entry["shape"]))
-                 for entry in header["manifest"]]
-        if sorted(found) != sorted(expected.items()):
-            mismatched = sorted(set(found) ^ set(expected.items()))
-            raise ValueError(f"manifest does not match config: {len(found)} "
-                             f"entries for {len(expected)} parameters, "
-                             f"mismatched {mismatched}")
-        size = sum(int(np.prod(shape)) for shape in expected.values())
+        expected = _manifest(config)
+        if header["manifest"] != expected:
+            pairs = itertools.zip_longest(header["manifest"], expected)
+            i, (found, want) = next((i, p) for i, p in enumerate(pairs)
+                                    if p[0] != p[1])
+            raise ValueError(f"manifest entry {i} is {found}, expected {want}")
+        size = sum(math.prod(e["shape"]) for e in expected)
         payload = blob[12 + hlen:]
         if len(payload) != 8 * size:
             raise ValueError(f"payload holds {len(payload)} bytes, expected "
                              f"{8 * size}")
-        flat = np.frombuffer(payload, dtype="<f8")
         model = cls(config)
-        start = 0
-        for entry in header["manifest"]:
-            name = entry["name"]
-            if entry["offset"] != start:
-                raise ValueError(f"{name} at offset {entry['offset']}, "
-                                 f"expected {start}")
-            n = int(np.prod(expected[name]))
-            values = flat[start:start + n]
-            if not np.isfinite(values).all():
+        model.flat[...] = np.frombuffer(payload, dtype="<f8")
+        for name, tensor in model.params.items():
+            if not np.isfinite(tensor.values).all():
                 raise ValueError(f"{name} holds NaN or infinity")
-            model.params[name].values = values.reshape(expected[name]).copy()
-            start += n
         return model

@@ -99,11 +99,8 @@ class Adam:
             self.v[name] = self.b2 * self.v[name] + (1 - self.b2) * g * g
             m_hat = self.m[name] / (1 - self.b1 ** t)
             v_hat = self.v[name] / (1 - self.b2 ** t)
-            p.values = p.values - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def zero_grads(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
+            # in place: the model's parameters are views into its flat vector
+            p.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def _normalized_batch(x: np.ndarray, y: np.ndarray):
@@ -140,7 +137,7 @@ def train(model: TimeMixerModel, dataset: WindowedDataset,
     rng = np.random.default_rng(config.seed)
     optimizer = Adam(model.params, config.learning_rate)
     report = TrainReport()
-    best_params = model.snapshot_parameters()
+    best = model.flat.copy()
     since_best = 0
     t0 = time.perf_counter()
 
@@ -150,7 +147,7 @@ def train(model: TimeMixerModel, dataset: WindowedDataset,
         for lo in range(0, order.size, config.batch_size):
             idx = order[lo:lo + config.batch_size]
             xb, yb = _normalized_batch(x_train[idx], y_train[idx])
-            optimizer.zero_grads()
+            model.zero_grads()
             tape = Tape()
             try:
                 with tape:
@@ -174,7 +171,7 @@ def train(model: TimeMixerModel, dataset: WindowedDataset,
         if val_loss < report.best_val_loss:
             report.best_val_loss = val_loss
             report.best_epoch = epoch
-            best_params = model.snapshot_parameters()
+            best = model.flat.copy()
             since_best = 0
         else:
             since_best += 1
@@ -184,6 +181,6 @@ def train(model: TimeMixerModel, dataset: WindowedDataset,
     else:
         report.stopping_reason = "max_epochs"
 
-    model.load_parameter_values(best_params)
+    model.flat[...] = best
     report.wall_time = time.perf_counter() - t0
     return report

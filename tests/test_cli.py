@@ -144,12 +144,38 @@ class TestConfig:
         assert loaded.model_config(4).channels == values.shape[1]
 
     def test_channels_is_not_a_setting(self, workspace, capsys):
+        # nor are the volatility window, annualization and test share
         tmp, config, fixtures = workspace
         run_cli(config, "fetch", "--fixtures", str(fixtures))
+        for override in ("channels=2", "vol_window=10",
+                         "periods_per_year=365", "test_fraction=0.3"):
+            capsys.readouterr()
+            assert run_cli(config, "run", "--set", override) == 1
+            key = override.split("=")[0]
+            assert f"unknown config key '{key}'" in capsys.readouterr().err
+            assert not (tmp / "out").exists()
+
+    @pytest.mark.parametrize("roster, problem", [
+        ('[{"ticker": "A", "start": "2020-01-02"', "not JSON"),
+        ('{"ticker": "A"}', "not a JSON list"),
+        ('["A"]', "entry 0: not an object"),
+        ('[{"ticker": "A", "start": "2020-01-02", "end": "2021-01-04"}, '
+         '{"ticker": "B", "start": "2020-01-02"}]', "entry 1 lacks 'end'"),
+        ('[{"start": "2020-01-02", "end": "2021-01-04"}]',
+         "entry 0 lacks 'ticker'"),
+        ('[{"ticker": "A", "start": "2020-13-02", "end": "2021-01-04"}]',
+         "entry 0: month must be in 1..12"),
+        ('[{"ticker": "A", "start": "2020-01-02", "end": "01/04/2021"}]',
+         "entry 0: Invalid isoformat string"),
+    ], ids=["invalid_json", "not_a_list", "entry_not_object", "missing_end",
+            "missing_ticker", "bad_month", "not_iso"])
+    def test_malformed_roster_is_validation_error(self, workspace, capsys,
+                                                   roster, problem):
+        tmp, config, fixtures = workspace
+        (tmp / "roster.json").write_text(roster)
         capsys.readouterr()
-        assert run_cli(config, "run", "--set", "channels=2") == 1
-        assert "unknown config key 'channels'" in capsys.readouterr().err
-        assert not (tmp / "out").exists()
+        assert run_cli(config, "fetch", "--fixtures", str(fixtures)) == 1
+        assert problem in capsys.readouterr().err
 
     def test_missing_roster(self, tmp_path):
         config = tmp_path / "c.json"
@@ -314,6 +340,27 @@ class TestPipeline:
         assert manifest["records"] == 3
         csv = (tmp / "out" / "metrics.csv").read_text()
         assert "BETA," in csv and "ALPHA" not in csv
+
+    @pytest.mark.parametrize("override, key, found, want", [
+        ("covariates=true", "channels", 1, 3),
+        ("lookback=48", "lookback", 32, 48),
+    ])
+    def test_checkpoint_config_mismatch_fails_its_pair(
+            self, workspace, capsys, override, key, found, want):
+        tmp, config, fixtures = workspace
+        run_cli(config, "fetch", "--fixtures", str(fixtures))
+        assert run_cli(config, "train") == 0
+        # BETA's checkpoint agrees with the overridden config, ALPHA's not
+        changed = cli.load_run_config(config, [override])
+        TimeMixerModel(changed.model_config(4)).save(tmp / "out" / "BETA_F4.ckpt")
+        capsys.readouterr()
+        assert run_cli(config, "eval", "--set", override) == 3
+        manifest = json.loads((tmp / "out" / "manifest.json").read_text())
+        assert [(f["ticker"], f["horizon"]) for f in manifest["failures"]] \
+            == [("ALPHA", 4)]
+        assert f"has {key} {found}, the run config {want}" \
+            in manifest["failures"][0]["error"]
+        assert manifest["records"] == 3
 
     def test_report_regenerates_markdown(self, workspace, capsys):
         tmp, config, fixtures = workspace

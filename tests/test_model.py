@@ -145,12 +145,12 @@ class TestInit:
     def test_same_seed_identical(self):
         a = TimeMixerModel(ModelConfig(seed=3))
         b = TimeMixerModel(ModelConfig(seed=3))
-        assert np.array_equal(a.parameter_vector(), b.parameter_vector())
+        assert np.array_equal(a.flat, b.flat)
 
     def test_different_seeds_differ(self):
         a = TimeMixerModel(ModelConfig(seed=3))
         b = TimeMixerModel(ModelConfig(seed=4))
-        assert not np.array_equal(a.parameter_vector(), b.parameter_vector())
+        assert not np.array_equal(a.flat, b.flat)
 
     def test_biases_start_zero(self):
         model = TimeMixerModel(ModelConfig())
@@ -174,7 +174,7 @@ class TestInit:
         count += 2 * per_block
         count += sum(lens[m] * 12 for m in range(3))        # predictors
         count += d * 1 + 1                                  # output projection
-        assert model.parameter_vector().size == count
+        assert model.flat.size == count
         assert sum(int(np.prod(s)) for s in parameter_shapes(cfg).values()) == count
 
 
@@ -393,6 +393,18 @@ class TestGradients:
         finite_diff_check(build_loss, list(model.params.values()))
 
 
+def edit_header(path, edit):
+    """Rewrite a checkpoint's JSON header with ``edit``; returns its result."""
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12:12 + hlen])
+    result = edit(header)
+    raw = json.dumps(header).encode()
+    path.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw
+                     + blob[12 + hlen:])
+    return result
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path, rng):
         model = TimeMixerModel(ModelConfig(seed=13))
@@ -408,6 +420,8 @@ class TestCheckpoint:
         # tiny_v1.ckpt was written by ``save`` of the per-scale model that
         # preceded the stacked layout, with every parameter drawn at random
         model = TimeMixerModel.load(f"{FIXTURES}/tiny_v1.ckpt")
+        assert all(np.shares_memory(t.values, model.flat)
+                   for t in model.params.values())
         assert model.config.num_scales == 2 and model.config.num_blocks == 2
         assert model.config.decomp_kernel > model.config.scale_lengths()[-1]
         x = np.random.default_rng(5).normal(0.3, 0.08, (16, 1))
@@ -430,15 +444,22 @@ class TestCheckpoint:
     def test_manifest_missing_parameter_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         TimeMixerModel(TINY).save(path)
-        blob = path.read_bytes()
-        (hlen,) = struct.unpack("<I", blob[8:12])
-        header = json.loads(blob[12:12 + hlen])
-        dropped = header["manifest"].pop(0)
+        dropped = edit_header(path, lambda h: h["manifest"].pop(0))
         assert dropped["name"] == "embed.W"
-        raw = json.dumps(header).encode()
-        path.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw
-                         + blob[12 + hlen:])
         with pytest.raises(ValueError, match="embed.W"):
+            TimeMixerModel.load(path)
+
+    def test_swapped_manifest_entries_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        TimeMixerModel(TINY).save(path)
+
+        def swap(header):
+            entries = header["manifest"]
+            entries[1], entries[2] = entries[2], entries[1]
+
+        edit_header(path, swap)
+        with pytest.raises(CheckpointError,
+                           match=r"entry 1 .*bottom_up1\.W.*expected .*embed\.b"):
             TimeMixerModel.load(path)
 
     def test_truncated_payload_rejected(self, tmp_path):
@@ -474,13 +495,7 @@ class TestCheckpoint:
     def test_malformed_header_is_checkpoint_error(self, tmp_path, edit):
         path = tmp_path / "model.ckpt"
         TimeMixerModel(TINY).save(path)
-        blob = path.read_bytes()
-        (hlen,) = struct.unpack("<I", blob[8:12])
-        header = json.loads(blob[12:12 + hlen])
-        edit(header)
-        raw = json.dumps(header).encode()
-        path.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw
-                         + blob[12 + hlen:])
+        edit_header(path, edit)
         with pytest.raises(CheckpointError):
             TimeMixerModel.load(path)
 

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -76,7 +78,7 @@ class TestAdam:
             ds = sine_dataset()
             model = TimeMixerModel(SMALL)
             train(model, ds, TrainConfig(max_epochs=3, patience=3, seed=4))
-            return model.parameter_vector()
+            return model.flat.copy()
 
         assert np.array_equal(run(), run())
 
@@ -89,10 +91,10 @@ class TestTrain:
     def test_zero_learning_rate_keeps_params(self):
         ds = sine_dataset()
         model = TimeMixerModel(SMALL)
-        before = model.parameter_vector()
+        before = model.flat.copy()
         report = train(model, ds, TrainConfig(max_epochs=3, patience=3,
                                               learning_rate=0.0, seed=0))
-        assert np.array_equal(model.parameter_vector(), before)
+        assert np.array_equal(model.flat, before)
         assert np.allclose(report.train_losses, report.train_losses[0])
 
     def test_patience_zero_stops_at_first_non_improvement(self):
@@ -138,7 +140,7 @@ class TestTrain:
         opt = Adam(model.params, learning_rate=1e-3)
         losses = []
         for _ in range(6):
-            opt.zero_grads()
+            model.zero_grads()
             tape = ad.Tape()
             with tape:
                 loss = mse_loss(model.forward_normalized(xn), Tensor(yn))
@@ -153,11 +155,30 @@ class TestTrain:
             model = TimeMixerModel(SMALL)
             report = train(model, ds, TrainConfig(max_epochs=4, patience=4,
                                                   seed=9))
-            return model.parameter_vector(), report.train_losses
+            return model.flat.copy(), report.train_losses
 
         (va, la), (vb, lb) = run(), run()
         assert np.array_equal(va, vb)
         assert la == lb
+
+    def test_parameters_stay_views_of_flat(self, tmp_path):
+        def views_of_flat(m):
+            return all(np.shares_memory(t.values, m.flat)
+                       for t in m.params.values())
+
+        model = TimeMixerModel(SMALL)
+        assert views_of_flat(model)
+        train(model, sine_dataset(), TrainConfig(max_epochs=3, patience=3,
+                                                 seed=2))
+        assert views_of_flat(model)
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack_from("<I", blob, 8)
+        assert blob[12 + hlen:] == model.flat.tobytes()
+        loaded = TimeMixerModel.load(path)
+        assert views_of_flat(loaded)
+        assert np.array_equal(loaded.flat, model.flat)
 
     def test_divergence_reported_with_location(self):
         ds = sine_dataset()
