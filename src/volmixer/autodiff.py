@@ -6,6 +6,13 @@ once, in reverse, accumulating gradients into every tensor that was created
 with ``requires_grad=True``. Outside a tape block nothing is recorded, so
 inference passes carry no gradient state.
 
+A tape built with a ``Workspace`` is pooled: under it, every op takes its
+outputs, gradients and scratch arrays from that pool, and the pool hands the
+same buffers out again after its ``reset``. So a training loop that resets
+one workspace per step reuses one step's working set, and the arrays of the
+previous step are overwritten by the next. Under a plain ``Tape()`` or no
+tape, every op allocates fresh arrays.
+
 Only the operations the forecaster actually needs are provided, with no
 general broadcasting. Every map along the time axis (moving average, pooling,
 mixing, predictor heads) is one op, ``time_linear``.
@@ -16,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import mmap
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -37,15 +45,36 @@ class TapeError(RuntimeError):
     """Tape misuse: backward without a tape, reused tape, non-scalar loss."""
 
 
+class _Fresh:
+    """Where ops outside a pooled tape take arrays from: each ``empty`` is a
+    new array, and nothing is kept or taken back."""
+
+    empty = staticmethod(np.empty)
+
+    @staticmethod
+    def give_back(buf: np.ndarray) -> None:
+        pass
+
+
+_FRESH = _Fresh()
+
+
 class Tensor:
-    """Dense float64 array with an optional accumulated gradient."""
+    """Dense float64 array with an optional accumulated gradient.
 
-    __slots__ = ("values", "requires_grad", "grad")
+    ``grad_buffer``, if given, is the array that the first gradient is
+    copied into and later ones are added to, so ``grad`` is that array once
+    the tensor is reached (a model's parameters keep theirs in one vector).
+    """
 
-    def __init__(self, values, requires_grad: bool = False):
+    __slots__ = ("values", "requires_grad", "grad", "grad_buffer")
+
+    def __init__(self, values, requires_grad: bool = False,
+                 grad_buffer: Optional[np.ndarray] = None):
         self.values = np.asarray(values, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
+        self.grad_buffer = grad_buffer
 
     @property
     def shape(self) -> tuple:
@@ -58,18 +87,32 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def _accumulate(self, g: np.ndarray, owned: bool = False) -> None:
+    def _accumulate(self, g: np.ndarray, owned: bool = False,
+                    ws: "Workspace | _Fresh" = _FRESH) -> None:
         """Add ``g`` into ``grad``.
 
-        ``owned`` says that the op has just allocated ``g`` and keeps no other
-        reference, so a first gradient is taken as it is. Any other ``g`` is
-        copied first: ``add`` hands one ``g`` to both of its inputs, and a
-        later ``+=`` must not write into the other.
+        ``owned`` says that the op has just taken ``g`` from ``ws`` and keeps
+        no other reference, so a first gradient is taken as it is, and a
+        ``g`` that is only added or copied is given back. Any other ``g`` is
+        copied first, into an array from ``ws``: ``add`` hands one ``g`` to
+        both of its inputs, and a later ``+=`` must not write into the other.
+        A first gradient is copied into ``grad_buffer`` when there is one,
+        not added to it, so its signed zeros keep their bytes.
         """
+        if self.grad is None and self.grad_buffer is None:
+            if owned:
+                self.grad = g
+                return
+            self.grad = ws.empty(g.shape)
+            np.copyto(self.grad, g)
+            return
         if self.grad is None:
-            self.grad = g if owned else np.array(g, dtype=np.float64)
+            self.grad = self.grad_buffer
+            np.copyto(self.grad, g)
         else:
             self.grad += g
+        if owned:
+            ws.give_back(g)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -84,12 +127,79 @@ class _Node:
         self.backward_fn = backward_fn
 
 
-class Tape:
-    """Ordered record of operations, replayable backward exactly once."""
+class Workspace:
+    """Pool of arrays for pooled tapes, lent by shape and dtype.
+
+    ``empty`` lends a buffer, cutting a new one only when every buffer of
+    that shape and dtype is lent; ``reset`` takes all of them back, so the
+    next step's ``empty`` calls get the same buffers and overwrite what the
+    previous step left there. Ops hand their scratch arrays back at once
+    with ``give_back``, so the next request of that shape reuses them while
+    they are still in cache. Buffers of ``MAPPED`` bytes or more are cut
+    from anonymous memory maps of at least ``SLAB`` bytes, so their memory
+    goes back to the system once the workspace and its arrays are dropped,
+    rather than staying in the heap under the next, larger allocations;
+    smaller ones come from the heap, which reuses them without faulting
+    memory in again.
+    """
+
+    SLAB = 16 << 20
+    MAPPED = 512 << 10
 
     def __init__(self):
+        self._free: dict[tuple, list[np.ndarray]] = {}
+        self._lent: list[tuple[tuple, np.ndarray]] = []
+        self._slab: Optional[mmap.mmap] = None
+        self._used = 0
+
+    def empty(self, shape: tuple, dtype=np.float64) -> np.ndarray:
+        key = (shape, dtype)
+        free = self._free.get(key)
+        buf = free.pop() if free else self._cut(shape, np.dtype(dtype))
+        self._lent.append((key, buf))
+        return buf
+
+    def give_back(self, buf: np.ndarray) -> None:
+        """Take back one lent buffer before ``reset``, for the next ``empty``
+        of its shape and dtype; the caller no longer uses it."""
+        for i in range(len(self._lent) - 1, -1, -1):
+            if self._lent[i][1] is buf:
+                key, _ = self._lent.pop(i)
+                self._free.setdefault(key, []).append(buf)
+                return
+
+    def reset(self) -> None:
+        # reversed, so that ``pop`` lends the buffers in the order the
+        # previous step took them
+        for key, buf in reversed(self._lent):
+            self._free.setdefault(key, []).append(buf)
+        self._lent.clear()
+
+    def _cut(self, shape: tuple, dtype: np.dtype) -> np.ndarray:
+        count = math.prod(shape)
+        size = -(-count * dtype.itemsize // 64) * 64    # 64-byte aligned
+        if size < self.MAPPED:
+            return np.empty(shape, dtype)
+        if self._slab is None or self._used + size > len(self._slab):
+            self._slab, self._used = mmap.mmap(-1, max(self.SLAB, size)), 0
+        buf = np.frombuffer(self._slab, dtype, count, self._used)
+        self._used += size
+        return buf.reshape(shape)
+
+
+class Tape:
+    """Ordered record of operations, replayable backward exactly once.
+
+    With a ``workspace`` the tape is pooled: the ops under it and their
+    backward take every array from the workspace, so its outputs and the
+    gradients ``backward`` leaves on tensors without a ``grad_buffer`` are
+    overwritten once the workspace is reset for the next step.
+    """
+
+    def __init__(self, workspace: Optional[Workspace] = None):
         self.nodes: list[_Node] = []
         self.used = False
+        self.workspace = workspace
 
     def __enter__(self) -> "Tape":
         _ACTIVE.append(self)
@@ -109,10 +219,27 @@ def active_tape() -> Optional[Tape]:
     return _ACTIVE[-1] if _ACTIVE else None
 
 
-def _make(values: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable,
-          op: str) -> Tensor:
-    if not np.isfinite(values).all():
+def _workspace() -> "Workspace | _Fresh":
+    """The active tape's workspace, or ``_FRESH`` outside a pooled tape."""
+    if not _ACTIVE or _ACTIVE[-1].workspace is None:
+        return _FRESH
+    return _ACTIVE[-1].workspace
+
+
+def _check_finite(values: np.ndarray, op: str, ws) -> None:
+    if ws is _FRESH:    # no lend and give-back calls on a batch-1 forecast
+        finite = np.isfinite(values).all()
+    else:
+        mask = ws.empty(values.shape, np.bool_)
+        finite = np.isfinite(values, out=mask).all()
+        ws.give_back(mask)
+    if not finite:
         raise NumericError(f"non-finite values produced by '{op}'")
+
+
+def _make(values: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable,
+          op: str, ws) -> Tensor:
+    _check_finite(values, op, ws)
     out = Tensor(values, requires_grad=any(t.requires_grad for t in inputs))
     _record((out,), inputs, backward_fn)
     return out
@@ -155,51 +282,103 @@ def backward(loss: Tensor, tape: Tape) -> None:
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"add: {a.shape} vs {b.shape}")
+    ws = _workspace()
 
     def bwd(g):
         if a.requires_grad:
-            a._accumulate(g)
+            a._accumulate(g, ws=ws)
         if b.requires_grad:
-            b._accumulate(g)
+            b._accumulate(g, ws=ws)
 
-    return _make(a.values + b.values, (a, b), bwd, "add")
+    return _make(np.add(a.values, b.values, out=ws.empty(a.shape)), (a, b),
+                 bwd, "add", ws)
 
 
 def subtract(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"subtract: {a.shape} vs {b.shape}")
+    ws = _workspace()
 
     def bwd(g):
         if a.requires_grad:
-            a._accumulate(g)
+            a._accumulate(g, ws=ws)
         if b.requires_grad:
-            b._accumulate(-g, owned=True)
+            b._accumulate(np.negative(g, out=ws.empty(g.shape)), owned=True,
+                          ws=ws)
 
-    return _make(a.values - b.values, (a, b), bwd, "subtract")
+    return _make(np.subtract(a.values, b.values, out=ws.empty(a.shape)),
+                 (a, b), bwd, "subtract", ws)
 
 
 def multiply(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"multiply: {a.shape} vs {b.shape}")
     av, bv = a.values, b.values
+    ws = _workspace()
 
     def bwd(g):
         if a.requires_grad:
-            a._accumulate(g * bv, owned=True)
+            a._accumulate(np.multiply(g, bv, out=ws.empty(g.shape)),
+                          owned=True, ws=ws)
         if b.requires_grad:
-            b._accumulate(g * av, owned=True)
+            b._accumulate(np.multiply(g, av, out=ws.empty(g.shape)),
+                          owned=True, ws=ws)
 
-    return _make(av * bv, (a, b), bwd, "multiply")
+    return _make(np.multiply(av, bv, out=ws.empty(a.shape)), (a, b), bwd,
+                 "multiply", ws)
 
 
 def mean(x: Tensor) -> Tensor:
     n = x.size
+    ws = _workspace()
 
     def bwd(g):
         if x.requires_grad:
-            x._accumulate(np.full_like(x.values, float(g) / n), owned=True)
+            gx = ws.empty(x.shape)
+            gx.fill(float(g) / n)
+            x._accumulate(gx, owned=True, ws=ws)
 
-    return _make(np.asarray(x.values.mean()), (x,), bwd, "mean")
+    return _make(np.asarray(x.values.mean()), (x,), bwd, "mean", ws)
+
+
+def _tensordot(a: np.ndarray, b: np.ndarray, axes: tuple,
+               ws) -> np.ndarray:
+    """``np.tensordot(a, b, axes=(axes, axes))`` for one kept axis in each.
+
+    It forms the same two matrices, a view where ``reshape`` gives one and
+    otherwise a C-order copy, but copies into and multiplies into arrays
+    from ``ws``, so the same GEMM runs on the same operands; the copies go
+    back to ``ws`` at once.
+    """
+    copies = []
+
+    def matrix(x, order, rows):
+        t = x.transpose(order)
+        shape = (math.prod(t.shape[:rows]), math.prod(t.shape[rows:]))
+        if _merges(t, 0, rows) and _merges(t, rows, t.ndim):
+            return t.reshape(shape)
+        copies.append(ws.empty(t.shape))
+        np.copyto(copies[-1], t)
+        return copies[-1].reshape(shape)
+
+    axes = list(axes)
+    keep_a = [k for k in range(a.ndim) if k not in axes]
+    keep_b = [k for k in range(b.ndim) if k not in axes]
+    at = matrix(a, keep_a + axes, len(keep_a))
+    bt = matrix(b, axes + keep_b, len(axes))
+    out = np.dot(at, bt, out=ws.empty((at.shape[0], bt.shape[1])))
+    for buf in copies:
+        ws.give_back(buf)
+    return out
+
+
+def _merges(x: np.ndarray, lo: int, hi: int) -> bool:
+    """Whether ``reshape`` can merge axes lo..hi-1 of ``x`` without a copy:
+    leaving out axes of length 1, each stride is the next one times the
+    next length (the C-order rule of NumPy's no-copy reshape)."""
+    dims = [(n, s) for n, s in zip(x.shape[lo:hi], x.strides[lo:hi]) if n != 1]
+    return all(s == s_next * n_next
+               for (_, s), (n_next, s_next) in zip(dims, dims[1:]))
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
@@ -209,66 +388,92 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         raise ShapeError(f"linear: input trailing dim {x.shape[-1]} != {n_in}")
     if bias is not None and bias.shape != (n_out,):
         raise ShapeError(f"linear: bias shape {bias.shape} != ({n_out},)")
-    out_vals = x.values @ weight.values
+    ws = _workspace()
+    xv = x.values
+    out_vals = np.matmul(xv, weight.values,
+                         out=ws.empty(xv.shape[:-1] + (n_out,)))
     if bias is not None:
         out_vals += bias.values
-    xv = x.values
 
     def bwd(g):
         g2 = g.reshape(-1, n_out)
         if x.requires_grad:
-            x._accumulate(g @ weight.values.T, owned=True)
+            x._accumulate(np.matmul(g, weight.values.T,
+                                    out=ws.empty(xv.shape)), owned=True, ws=ws)
         if weight.requires_grad:
-            weight._accumulate(xv.reshape(-1, n_in).T @ g2, owned=True)
+            weight._accumulate(np.matmul(xv.reshape(-1, n_in).T, g2,
+                                         out=ws.empty((n_in, n_out))),
+                               owned=True, ws=ws)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(g2.sum(axis=0), owned=True)
+            bias._accumulate(np.sum(g2, axis=0, out=ws.empty((n_out,))),
+                             owned=True, ws=ws)
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
-    return _make(out_vals, inputs, bwd, "linear")
+    return _make(out_vals, inputs, bwd, "linear", ws)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
+_PIECE = 1 << 14    # elements per piece of an elementwise kernel
+
+
+def _pieces(*arrays):
+    """Matching flat pieces of equally shaped arrays, ``_PIECE`` elements
+    at a time; the arrays whole if they are smaller or one is not
+    C-contiguous. A kernel of many elementwise passes runs piece by piece
+    so that its passes read from cache, with each element rounded as over
+    the whole array."""
+    size = arrays[0].size
+    if size <= _PIECE or not all(a.flags.c_contiguous for a in arrays):
+        return (arrays,)
+    flat = [a.reshape(-1) for a in arrays]
+    return [[f[lo:lo + _PIECE] for f in flat] for lo in range(0, size, _PIECE)]
 
 
 def gelu(x: Tensor) -> Tensor:
     """Elementwise x * Phi(x), tanh approximation.
 
     Cubes and squares are products, not ``**`` (NumPy's generic power path is
-    slow). Each kernel works in place on its own scratch buffers (``out=``
-    keeps them arrays for 0-d input), and ``x`` is never written. The
-    backward closure keeps only ``v`` and ``t``; it recomputes ``v * v``.
+    slow). Each kernel works in place on its own scratch buffers, piece by
+    piece, and ``x`` is never written. The backward closure keeps only
+    ``v`` and ``t``; it recomputes ``v * v``.
     """
     v = x.values
-    t = np.multiply(v, v, out=np.empty_like(v))
-    t *= v
-    t *= 0.044715
-    t += v
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    out = t + 1.0
-    out *= v
-    out *= 0.5
+    ws = _workspace()
+    t, out = ws.empty(v.shape), ws.empty(v.shape)
+    for vp, tp, op in _pieces(v, t, out):
+        np.multiply(vp, vp, out=tp)
+        tp *= vp
+        tp *= 0.044715
+        tp += vp
+        tp *= _GELU_C
+        np.tanh(tp, out=tp)
+        np.add(tp, 1.0, out=op)
+        op *= vp
+        op *= 0.5
 
     def bwd(g):
         if x.requires_grad:
             # g * (0.5 * (1 + t) + 0.5 * v * sech2 * d_inner), rounded in
             # that order, with sech2 = 1 - t * t.
-            d = np.multiply(v, v, out=np.empty_like(v))     # d_inner
-            d *= 3 * 0.044715
-            d += 1.0
-            d *= _GELU_C
-            s = np.multiply(t, t, out=np.empty_like(t))     # second term
-            np.subtract(1.0, s, out=s)
-            s *= v
-            s *= 0.5
-            s *= d
-            np.add(t, 1.0, out=d)                           # first term
-            d *= 0.5
-            d += s
-            d *= g
-            x._accumulate(d, owned=True)
+            d, s = ws.empty(v.shape), ws.empty(v.shape)
+            for vp, tp, gp, dp, sp in _pieces(v, t, g, d, s):
+                np.multiply(vp, vp, out=dp)                 # d_inner
+                dp *= 3 * 0.044715
+                dp += 1.0
+                dp *= _GELU_C
+                np.multiply(tp, tp, out=sp)                 # second term
+                np.subtract(1.0, sp, out=sp)
+                sp *= vp
+                sp *= 0.5
+                sp *= dp
+                np.add(tp, 1.0, out=dp)                     # first term
+                dp *= 0.5
+                dp += sp
+                dp *= gp
+            ws.give_back(s)
+            x._accumulate(d, owned=True, ws=ws)
 
-    return _make(out, (x,), bwd, "gelu")
+    return _make(out, (x,), bwd, "gelu", ws)
 
 
 def time_linear(x: Tensor, a, bias: Optional[Tensor] = None,
@@ -290,7 +495,9 @@ def time_linear(x: Tensor, a, bias: Optional[Tensor] = None,
                          f"length {t_in}")
     if bias is not None and bias.shape != (t_out,):
         raise ShapeError(f"time_linear: bias shape {bias.shape} != ({t_out},)")
-    out_vals = av.T @ xv
+    ws = _workspace()
+    out_vals = np.matmul(av.T, xv,
+                         out=ws.empty(xv.shape[:-2] + (t_out, xv.shape[-1])))
     if denom != 1.0:
         out_vals /= denom
     if bias is not None:
@@ -299,17 +506,22 @@ def time_linear(x: Tensor, a, bias: Optional[Tensor] = None,
 
     def bwd(g):
         if x.requires_grad:
-            gx = av @ g
-            x._accumulate(gx / denom if denom != 1.0 else gx, owned=True)
+            gx = np.matmul(av, g, out=ws.empty(xv.shape))
+            if denom != 1.0:
+                gx /= denom
+            x._accumulate(gx, owned=True, ws=ws)
         if learned and a.requires_grad:
-            ga = np.tensordot(xv, g, axes=(other, other))
-            a._accumulate(ga / denom if denom != 1.0 else ga, owned=True)
+            ga = _tensordot(xv, g, other, ws)
+            if denom != 1.0:
+                ga /= denom
+            a._accumulate(ga, owned=True, ws=ws)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(g.sum(axis=other), owned=True)
+            bias._accumulate(np.sum(g, axis=other, out=ws.empty((t_out,))),
+                             owned=True, ws=ws)
 
     inputs = (x,) + ((a,) if learned else ())
     inputs += (bias,) if bias is not None else ()
-    return _make(out_vals, inputs, bwd, "time_linear")
+    return _make(out_vals, inputs, bwd, "time_linear", ws)
 
 
 def _bounds(lengths: Sequence[int]) -> list[tuple[int, int]]:
@@ -336,7 +548,8 @@ def segment_linear(x: Tensor, weights: Sequence[Tensor],
                          f"{[w.shape for w in weights]}, biases "
                          f"{[b.shape for b in biases]}")
     bounds = _bounds(lengths)
-    out_vals = np.empty(xv.shape[:-1] + (n_out,))
+    ws = _workspace()
+    out_vals = ws.empty(xv.shape[:-1] + (n_out,))
     for w, b, (lo, hi) in zip(weights, biases, bounds):
         seg = out_vals[..., lo:hi, :]
         np.matmul(xv[..., lo:hi, :], w.values, out=seg)
@@ -345,19 +558,20 @@ def segment_linear(x: Tensor, weights: Sequence[Tensor],
 
     def bwd(g):
         if x.requires_grad:
-            gx = np.empty_like(xv)
+            gx = ws.empty(xv.shape)
             for w, (lo, hi) in zip(weights, bounds):
                 np.matmul(g[..., lo:hi, :], w.values.T, out=gx[..., lo:hi, :])
-            x._accumulate(gx, owned=True)
+            x._accumulate(gx, owned=True, ws=ws)
         for w, b, (lo, hi) in zip(weights, biases, bounds):
             gs = g[..., lo:hi, :]
             if w.requires_grad:
-                w._accumulate(np.tensordot(xv[..., lo:hi, :], gs,
-                                           axes=(lead, lead)), owned=True)
+                w._accumulate(_tensordot(xv[..., lo:hi, :], gs, lead, ws),
+                              owned=True, ws=ws)
             if b.requires_grad:
-                b._accumulate(gs.sum(axis=lead), owned=True)
+                b._accumulate(np.sum(gs, axis=lead, out=ws.empty((n_out,))),
+                              owned=True, ws=ws)
 
-    return _make(out_vals, (x, *weights, *biases), bwd, "segment_linear")
+    return _make(out_vals, (x, *weights, *biases), bwd, "segment_linear", ws)
 
 
 def cascade(up_base: np.ndarray, up_weights: Sequence[Tensor],
@@ -399,10 +613,11 @@ def cascade(up_base: np.ndarray, up_weights: Sequence[Tensor],
         raise ShapeError(f"cascade: bases {up_base.shape} and "
                          f"{down_base.shape}, weights and biases {shapes}")
     bounds = _bounds(lengths)
-    up = np.empty((total + 1, total))       # bias row first, then a's rows
+    ws = _workspace()
+    up = ws.empty((total + 1, total))       # bias row first, then a's rows
     up[0] = 0.0
     up[1:] = up_base
-    down = np.empty((total + 1, total))     # a's rows, then the bias row
+    down = ws.empty((total + 1, total))     # a's rows, then the bias row
     down[:total] = down_base
     down[total] = 0.0
     for m in range(1, n):
@@ -415,18 +630,20 @@ def cascade(up_base: np.ndarray, up_weights: Sequence[Tensor],
         np.matmul(down[hi:, hi:coarse], down_weights[m].values,
                   out=down[hi:, lo:hi])
         down[total, lo:hi] += down_biases[m].values
-    a_vals = up[1:] + down[:total]
-    bias_vals = up[0] + down[total]
-    if not (np.isfinite(a_vals).all() and np.isfinite(bias_vals).all()):
-        raise NumericError("non-finite values produced by 'cascade'")
+    a_vals = np.add(up[1:], down[:total], out=ws.empty((total, total)))
+    bias_vals = np.add(up[0], down[total], out=ws.empty((total,)))
+    _check_finite(a_vals, "cascade", ws)
+    _check_finite(bias_vals, "cascade", ws)
     params = (*up_weights, *up_biases, *down_weights, *down_biases)
     grad = any(t.requires_grad for t in params)
     a = Tensor(a_vals, requires_grad=grad)
     bias = Tensor(bias_vals, requires_grad=grad)
 
     def bwd(ga, gb):
-        g_up = np.zeros((total + 1, total))
-        g_down = np.zeros((total + 1, total))
+        g_up = ws.empty((total + 1, total))
+        g_down = ws.empty((total + 1, total))
+        g_up.fill(0.0)
+        g_down.fill(0.0)
         if ga is not None:
             g_up[1:] = ga
             g_down[:total] = ga
@@ -438,19 +655,31 @@ def cascade(up_base: np.ndarray, up_weights: Sequence[Tensor],
             w, b = up_weights[m - 1], up_biases[m - 1]
             g_prod = g_up[:lo + 1, lo:hi]
             if w.requires_grad:
-                w._accumulate(up[:lo + 1, fine:lo].T @ g_prod, owned=True)
+                w._accumulate(np.matmul(up[:lo + 1, fine:lo].T, g_prod,
+                                        out=ws.empty(w.shape)),
+                              owned=True, ws=ws)
             if b.requires_grad:
-                b._accumulate(g_prod[0])
-            g_up[:lo + 1, fine:lo] += g_prod @ w.values.T
+                b._accumulate(g_prod[0], ws=ws)
+            back = np.matmul(g_prod, w.values.T,
+                             out=ws.empty((lo + 1, lo - fine)))
+            g_up[:lo + 1, fine:lo] += back
+            ws.give_back(back)
         for m in range(n - 1):
             (lo, hi), (_, coarse) = bounds[m], bounds[m + 1]
             w, b = down_weights[m], down_biases[m]
             g_prod = g_down[hi:, lo:hi]
             if w.requires_grad:
-                w._accumulate(down[hi:, hi:coarse].T @ g_prod, owned=True)
+                w._accumulate(np.matmul(down[hi:, hi:coarse].T, g_prod,
+                                        out=ws.empty(w.shape)),
+                              owned=True, ws=ws)
             if b.requires_grad:
-                b._accumulate(g_prod[-1])
-            g_down[hi:, hi:coarse] += g_prod @ w.values.T
+                b._accumulate(g_prod[-1], ws=ws)
+            back = np.matmul(g_prod, w.values.T,
+                             out=ws.empty((total + 1 - hi, coarse - hi)))
+            g_down[hi:, hi:coarse] += back
+            ws.give_back(back)
+        ws.give_back(g_up)
+        ws.give_back(g_down)
 
     _record((a, bias), params, bwd)
     return a, bias
@@ -461,14 +690,16 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     if any(p.shape[1:] != parts[0].shape[1:] for p in parts):
         raise ShapeError(f"concat: shapes {[p.shape for p in parts]}")
     bounds = _bounds([p.shape[0] for p in parts])
+    ws = _workspace()
 
     def bwd(g):
         for p, (lo, hi) in zip(parts, bounds):
             if p.requires_grad:
-                p._accumulate(g[lo:hi])
+                p._accumulate(g[lo:hi], ws=ws)
 
-    return _make(np.concatenate([p.values for p in parts]), parts, bwd,
-                 "concat")
+    out = ws.empty((bounds[-1][1],) + parts[0].shape[1:])
+    return _make(np.concatenate([p.values for p in parts], out=out), parts,
+                 bwd, "concat", ws)
 
 
 @functools.lru_cache(maxsize=64)
@@ -525,19 +756,22 @@ def transpose_last2(x: Tensor) -> Tensor:
     """
     if x.values.ndim < 2:
         raise ShapeError("transpose_last2 needs at least 2 dimensions")
+    ws = _workspace()
 
     def bwd(g):
         if x.requires_grad:
-            x._accumulate(np.swapaxes(g, -1, -2))
+            x._accumulate(np.swapaxes(g, -1, -2), ws=ws)
 
-    return _make(np.swapaxes(x.values, -1, -2), (x,), bwd, "transpose_last2")
+    return _make(np.swapaxes(x.values, -1, -2), (x,), bwd, "transpose_last2",
+                 ws)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
     old = x.values.shape
+    ws = _workspace()
 
     def bwd(g):
         if x.requires_grad:
-            x._accumulate(g.reshape(old))
+            x._accumulate(g.reshape(old), ws=ws)
 
-    return _make(x.values.reshape(shape), (x,), bwd, "reshape")
+    return _make(x.values.reshape(shape), (x,), bwd, "reshape", ws)

@@ -131,7 +131,7 @@ def _code_version() -> str:
                              cwd=Path(__file__).parent)
         if out.returncode == 0:
             return out.stdout.strip()
-    except OSError:
+    except (OSError, subprocess.TimeoutExpired):
         pass
     return f"volmixer-{__version__}"
 

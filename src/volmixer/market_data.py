@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import time
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
@@ -143,6 +144,11 @@ class VolatilitySeries:
             raise ValidationError("volatility must be nonnegative")
 
 
+# tickers name cache files and artifacts, and ':' marks baseline rows in
+# metrics.csv, so no '/', ',', ':' or leading '.': "^GSPC", "EURUSD=X", "BRK.B"
+_TICKER = re.compile(r"[A-Za-z0-9^][A-Za-z0-9^=._-]*")
+
+
 @dataclass(frozen=True)
 class RosterEntry:
     ticker: str
@@ -155,6 +161,12 @@ class AssetRoster:
     entries: list[RosterEntry]
 
     def __post_init__(self):
+        for i, e in enumerate(self.entries):
+            if not (isinstance(e.ticker, str) and _TICKER.fullmatch(e.ticker)):
+                raise ValidationError(
+                    f"roster entry {i}: ticker {e.ticker!r} is not letters, "
+                    f"digits and '^=._-' starting with a letter, digit or "
+                    f"'^'")
         tickers = [e.ticker for e in self.entries]
         if len(set(tickers)) != len(tickers):
             raise ValidationError("duplicate tickers in roster")

@@ -173,7 +173,9 @@ class TimeMixerModel:
     maps in the head are bias-free so the head is exactly linear.
 
     Each ``params[name].values`` is a view into one float64 vector, ``flat``,
-    laid out by ``_manifest``, so parameters are written in place.
+    laid out by ``_manifest``, so parameters are written in place. Their
+    gradients go to the same slots of a second vector, ``grad_flat``: a
+    reached parameter's ``grad`` is a view into it.
     """
 
     def __init__(self, config: ModelConfig):
@@ -182,14 +184,18 @@ class TimeMixerModel:
         rng = np.random.default_rng(config.seed)
         manifest = _manifest(config)
         self.flat = np.zeros(sum(math.prod(e["shape"]) for e in manifest))
+        self.grad_flat = np.zeros_like(self.flat)
         self.params: dict[str, Tensor] = {}
         for entry in manifest:
             name, shape, start = entry["name"], entry["shape"], entry["offset"]
-            values = self.flat[start:start + math.prod(shape)].reshape(shape)
+            span = slice(start, start + math.prod(shape))
+            values = self.flat[span].reshape(shape)
             if not (name.endswith(".b") or ".b1" in name or ".b2" in name):
                 bound = 1.0 / np.sqrt(shape[0])
                 values[...] = rng.uniform(-bound, bound, size=shape)
-            self.params[name] = Tensor(values, requires_grad=True)
+            self.params[name] = Tensor(
+                values, requires_grad=True,
+                grad_buffer=self.grad_flat[span].reshape(shape))
 
     def zero_grads(self) -> None:
         for t in self.params.values():

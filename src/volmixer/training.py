@@ -3,7 +3,8 @@
 The loss is MSE on the instance-normalized scale, which keeps step sizes
 comparable across assets whose volatility levels differ by orders of
 magnitude. Validation passes run outside any tape, so they record no
-gradient state.
+gradient state. Training steps run on tapes pooled by an epoch's
+``autodiff.Workspace``, so each step reuses the previous step's arrays.
 """
 
 from __future__ import annotations
@@ -12,12 +13,13 @@ import json
 import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
 from volmixer import autodiff as ad
 from volmixer.atomic import write_atomic
-from volmixer.autodiff import Tape, Tensor
+from volmixer.autodiff import Tape, Tensor, Workspace
 from volmixer.market_data import WindowedDataset
 from volmixer.model import EVAL_BATCH, TimeMixerModel, instance_normalize
 
@@ -77,30 +79,47 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
 
 
 class Adam:
-    """Standard Adam over a named parameter dict of Tensors."""
+    """Standard Adam over a model's parameter vector ``flat``, reading the
+    gradients from its ``grad_flat``. The moments ``m`` and ``v`` and two
+    scratch rows are allocated once, so a step allocates nothing."""
 
     b1, b2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: dict[str, Tensor], learning_rate: float = 1e-3):
-        self.params = params
+    def __init__(self, model: TimeMixerModel, learning_rate: float = 1e-3):
+        self.params, self.flat = model.params, model.flat
+        self.grads = model.grad_flat
         self.lr = learning_rate
         self.step_count = 0
-        self.m = {k: np.zeros_like(t.values) for k, t in params.items()}
-        self.v = {k: np.zeros_like(t.values) for k, t in params.items()}
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        self._scratch = np.empty((2, self.flat.size))
 
     def step(self) -> None:
-        self.step_count += 1
-        t = self.step_count
+        """One update of every parameter, or, if one has no gradient, a
+        ``TrainingError`` naming it and no change at all."""
         for name, p in self.params.items():
             if p.grad is None:
                 raise TrainingError(f"parameter '{name}' has no gradient")
-            g = p.grad
-            self.m[name] = self.b1 * self.m[name] + (1 - self.b1) * g
-            self.v[name] = self.b2 * self.v[name] + (1 - self.b2) * g * g
-            m_hat = self.m[name] / (1 - self.b1 ** t)
-            v_hat = self.v[name] / (1 - self.b2 ** t)
-            # in place: the model's parameters are views into its flat vector
-            p.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.step_count += 1
+        t = self.step_count
+        g, m, v = self.grads, self.m, self.v
+        s, d = self._scratch
+        # each element rounds as in m = b1 * m + (1 - b1) * g,
+        # v = b2 * v + (1 - b2) * g * g and
+        # flat -= lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)
+        m *= self.b1
+        m += np.multiply(g, 1 - self.b1, out=s)
+        v *= self.b2
+        np.multiply(g, 1 - self.b2, out=s)
+        s *= g
+        v += s
+        np.divide(m, 1 - self.b1 ** t, out=s)
+        s *= self.lr
+        np.divide(v, 1 - self.b2 ** t, out=d)
+        np.sqrt(d, out=d)
+        d += self.eps
+        s /= d
+        self.flat -= s
 
 
 def _normalized_batch(x: np.ndarray, y: np.ndarray):
@@ -121,6 +140,54 @@ def evaluate_split(model: TimeMixerModel, x: np.ndarray, y: np.ndarray) -> float
     return total / count
 
 
+def _step(model: TimeMixerModel, optimizer: Adam,
+          workspace: Optional[Workspace], xb: np.ndarray,
+          yb: np.ndarray) -> float:
+    """One Adam step on a normalized batch; the batch loss.
+
+    With a ``workspace`` the step records on a tape pooled by it, which it
+    resets first: it reuses the arrays of the workspace's previous step, so
+    once the pool holds a step's working set, a step of the same batch
+    size allocates no activations, gradients or scratch anew. Without one,
+    the step allocates afresh.
+    """
+    model.zero_grads()
+    if workspace is not None:
+        workspace.reset()
+    tape = Tape(workspace)
+    with tape:
+        loss = mse_loss(model.forward_normalized(xb), Tensor(yb))
+    ad.backward(loss, tape)
+    optimizer.step()
+    return float(loss.values)
+
+
+def _fit_epoch(model: TimeMixerModel, optimizer: Adam, x: np.ndarray,
+               y: np.ndarray, order: np.ndarray, batch_size: int,
+               epoch: int) -> float:
+    """One ``_step`` per batch of ``order``; the mean batch loss.
+
+    The full batches share one workspace. It is dropped before a short last
+    batch, which allocates afresh rather than filling a second pool for one
+    step, and in any case when this call returns: validation allocates its
+    own, larger batches.
+    """
+    workspace = Workspace()
+    epoch_loss, n_batches = 0.0, 0
+    for lo in range(0, order.size, batch_size):
+        idx = order[lo:lo + batch_size]
+        if idx.size != batch_size:
+            workspace = None
+        try:
+            epoch_loss += _step(model, optimizer, workspace,
+                                *_normalized_batch(x[idx], y[idx]))
+        except ad.NumericError as exc:
+            raise TrainingError(f"loss diverged at epoch {epoch}, "
+                                f"batch {n_batches}: {exc}") from exc
+        n_batches += 1
+    return epoch_loss / n_batches
+
+
 def train(model: TimeMixerModel, dataset: WindowedDataset,
           config: TrainConfig) -> TrainReport:
     """Fit the model on the train split; restore the best-validation weights.
@@ -135,7 +202,7 @@ def train(model: TimeMixerModel, dataset: WindowedDataset,
         raise TrainingError("train and val splits must be nonempty")
 
     rng = np.random.default_rng(config.seed)
-    optimizer = Adam(model.params, config.learning_rate)
+    optimizer = Adam(model, config.learning_rate)
     report = TrainReport()
     best = model.flat.copy()
     since_best = 0
@@ -143,24 +210,9 @@ def train(model: TimeMixerModel, dataset: WindowedDataset,
 
     for epoch in range(config.max_epochs):
         order = rng.permutation(x_train.shape[0])
-        epoch_loss, n_batches = 0.0, 0
-        for lo in range(0, order.size, config.batch_size):
-            idx = order[lo:lo + config.batch_size]
-            xb, yb = _normalized_batch(x_train[idx], y_train[idx])
-            model.zero_grads()
-            tape = Tape()
-            try:
-                with tape:
-                    pred = model.forward_normalized(xb)
-                    loss = mse_loss(pred, Tensor(yb))
-                ad.backward(loss, tape)
-                optimizer.step()
-            except ad.NumericError as exc:
-                raise TrainingError(f"loss diverged at epoch {epoch}, "
-                                    f"batch {n_batches}: {exc}") from exc
-            epoch_loss += float(loss.values)
-            n_batches += 1
-        report.train_losses.append(epoch_loss / n_batches)
+        report.train_losses.append(_fit_epoch(model, optimizer, x_train,
+                                              y_train, order,
+                                              config.batch_size, epoch))
         try:
             val_loss = evaluate_split(model, x_val, y_val)
         except ad.NumericError as exc:

@@ -10,7 +10,7 @@ from conftest import finite_diff_check, leaf
 from test_model import ref_moving_average
 from volmixer import autodiff as ad
 from volmixer.autodiff import (NumericError, ParameterError, ShapeError, Tape,
-                               TapeError, Tensor)
+                               TapeError, Tensor, Workspace)
 
 
 class TestLinear:
@@ -330,6 +330,113 @@ class TestNumericGuards:
         big = Tensor([1e308])
         with np.errstate(over="ignore"), pytest.raises(NumericError):
             ad.multiply(big, big)
+
+
+class TestWorkspace:
+    def test_reset_lends_the_same_buffers_again(self):
+        ws = Workspace()
+        a, b = ws.empty((2, 3)), ws.empty((2, 3))
+        flags = ws.empty((2, 3), np.bool_)
+        assert not np.shares_memory(a, b)
+        assert flags.dtype == np.bool_ and a.dtype == np.float64
+        ws.reset()
+        again = [ws.empty((2, 3)), ws.empty((2, 3)),
+                 ws.empty((2, 3), np.bool_)]
+        assert {id(x) for x in again} == {id(a), id(b), id(flags)}
+        assert not np.shares_memory(ws.empty((2, 3)), a)    # all three lent
+
+    def test_buffers_do_not_overlap_across_slabs(self):
+        ws = Workspace()
+        ws.SLAB, ws.MAPPED = 1024, 0
+        bufs = [ws.empty((n,)) for n in (100, 100, 7, 300, 1)]
+        for i, x in enumerate(bufs):
+            assert x.shape == ((100, 100, 7, 300, 1)[i],)
+            assert x.ctypes.data % 64 == 0
+            assert not any(np.shares_memory(x, y) for y in bufs[:i])
+
+    @staticmethod
+    def step(tape):
+        """A forward and backward through every op that has a backward."""
+        rng = np.random.default_rng(3)
+        x, w = leaf(rng, 2, 6, 3), leaf(rng, 3, 3)
+        ws = [leaf(rng, 3, 3) for _ in range(2)]
+        bs = [leaf(rng, 3) for _ in range(2)]
+        a, lengths = leaf(rng, 6, 6), [4, 2]
+        with tape:
+            h = ad.gelu(ad.linear(x, w, bs[0]))
+            h = ad.time_linear(ad.segment_linear(h, ws, bs, lengths), a)
+            h = ad.reshape(ad.concat([ad.add(h, ad.subtract(h, x)), x]),
+                           (4, 18))
+            loss = ad.mean(ad.multiply(h, h))
+        ad.backward(loss, tape)
+        return loss, [x, w, a, *ws, *bs]
+
+    def test_pooled_tape_reuses_its_arrays_after_reset(self):
+        ws = Workspace()
+        ws.MAPPED = 0       # every buffer from a slab: none cut anew below
+        loss, leaves = self.step(Tape(ws))
+        first, slab, used = [t.grad for t in leaves], ws._slab, ws._used
+        ws.reset()
+        loss2, leaves2 = self.step(Tape(ws))
+        for g, t in zip(first, leaves2):
+            assert np.shares_memory(g, t.grad)
+        assert (ws._slab, ws._used) == (slab, used)     # nothing new was cut
+        assert float(loss.values) == float(loss2.values)
+
+    def test_plain_tape_never_reuses_memory(self):
+        _, leaves = self.step(Tape())
+        _, leaves2 = self.step(Tape())
+        for t, u in zip(leaves, leaves2):
+            assert not np.shares_memory(t.grad, u.grad)
+            assert t.grad.tobytes() == u.grad.tobytes()
+
+    def test_pooled_gradients_equal_plain_ones(self):
+        _, plain = self.step(Tape())
+        _, pooled = self.step(Tape(Workspace()))
+        for t, u in zip(plain, pooled):
+            assert t.grad.tobytes() == u.grad.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("op, call", [
+        ("add", lambda v: ad.add(Tensor(v), Tensor(np.ones(3)))),
+        ("linear", lambda v: ad.linear(Tensor(v), Tensor(np.eye(3)))),
+        ("gelu", lambda v: ad.gelu(Tensor(v))),
+        ("time_linear", lambda v: ad.time_linear(Tensor(v[:, None]),
+                                                 Tensor(np.eye(3)))),
+        ("cascade", lambda v: ad.cascade(
+            np.eye(3), [Tensor(v[:2, None])], [Tensor(v[2:])], np.eye(3),
+            [Tensor(v[None, :2])], [Tensor(v[:2])])),
+    ])
+    def test_nonfinite_under_pooled_tape_names_the_op(self, op, call, bad):
+        values = np.array([1.0, bad, 2.0])
+        if op == "cascade":
+            values = np.array([1.0, 2.0, bad])
+        with Tape(Workspace()), np.errstate(all="ignore"), \
+                pytest.raises(NumericError, match=f"'{op}'"):
+            call(values)
+
+    def test_second_backward_under_pooled_tape_rejected(self, rng):
+        w = leaf(rng, 2)
+        tape = Tape(Workspace())
+        with tape:
+            loss = ad.mean(ad.multiply(w, w))
+        ad.backward(loss, tape)
+        with pytest.raises(TapeError):
+            ad.backward(loss, tape)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 4),
+           st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+    def test_tensordot_matches_numpy_bit_for_bit(self, b, t, d, t_out, seed):
+        rng = np.random.default_rng(seed)
+        x, g = rng.normal(size=(b, t, d)), rng.normal(size=(b, t_out, d))
+        ts = max(1, t - 1)      # a time segment: not contiguous for t > 1
+        segs = (x[:, :ts, :], rng.normal(size=(b, t, 2))[:, :ts, :])
+        for axes, operands in [((0, 2), (x, g)), ((0, 1), segs)]:
+            want = np.tensordot(*operands, axes=(axes, axes))
+            for ws in (ad._FRESH, Workspace()):
+                got = ad._tensordot(*operands, axes, ws)
+                assert got.tobytes() == want.tobytes()
 
 
 SEEDS = range(10)

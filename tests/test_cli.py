@@ -167,8 +167,13 @@ class TestConfig:
          "entry 0: month must be in 1..12"),
         ('[{"ticker": "A", "start": "2020-01-02", "end": "01/04/2021"}]',
          "entry 0: Invalid isoformat string"),
+        ('[{"ticker": "../A", "start": "2020-01-02", "end": "2021-01-04"}]',
+         "entry 0: ticker '../A'"),
+        ('[{"ticker": ["A"], "start": "2020-01-02", "end": "2021-01-04"}]',
+         "entry 0: ticker ['A']"),
     ], ids=["invalid_json", "not_a_list", "entry_not_object", "missing_end",
-            "missing_ticker", "bad_month", "not_iso"])
+            "missing_ticker", "bad_month", "not_iso", "path_in_ticker",
+            "ticker_not_string"])
     def test_malformed_roster_is_validation_error(self, workspace, capsys,
                                                    roster, problem):
         tmp, config, fixtures = workspace
@@ -200,6 +205,20 @@ class TestPipeline:
         assert (out / "ALPHA_F4.ckpt").exists()
         assert (out / "ALPHA_F4.svg").exists()
         assert (out / "report.md").exists()
+
+    def test_git_timeout_falls_back_to_package_version(self, workspace,
+                                                       monkeypatch):
+        tmp, config, fixtures = workspace
+        assert run_cli(config, "fetch", "--fixtures", str(fixtures)) == 0
+
+        def hang(cmd, **kwargs):
+            raise cli.subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+
+        monkeypatch.setattr(cli.subprocess, "run", hang)
+        assert run_cli(config, "run") == 0
+        manifest = json.loads((tmp / "out" / "manifest.json").read_text())
+        assert manifest["code_version"] == f"volmixer-{cli.__version__}"
+        assert manifest["failures"] == []
 
     def test_run_is_byte_deterministic(self, workspace):
         tmp, config, fixtures = workspace

@@ -551,3 +551,34 @@ class TestRoster:
         entry = md.RosterEntry("A", date(2021, 1, 1), date(2020, 1, 1))
         with pytest.raises(ValidationError):
             md.AssetRoster([entry])
+
+    @pytest.mark.parametrize("ticker", ["^GSPC", "EURUSD=X", "BTC-USD",
+                                        "BRK.B", "a_1", "0"])
+    def test_market_tickers_accepted(self, ticker):
+        md.AssetRoster([md.RosterEntry(ticker, date(2020, 1, 1),
+                                       date(2021, 1, 1))])
+
+    @pytest.mark.parametrize("ticker", [
+        "../escape", "a/b", "/abs", "..", ".hidden", "A,B", "A:persistence",
+        "", " A", "A B", "A\n", "A\\B", "Ä", 5, None, ["A"], b"A"])
+    def test_unsafe_tickers_rejected(self, ticker):
+        good = md.RosterEntry("OK", date(2020, 1, 1), date(2021, 1, 1))
+        bad = md.RosterEntry(ticker, date(2020, 1, 1), date(2021, 1, 1))
+        with pytest.raises(ValidationError, match="roster entry 1: ticker"):
+            md.AssetRoster([good, bad])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(alphabet=st.sampled_from("A^=._-/\\:,. 0z\x00"),
+                             max_size=6),
+                     st.text(max_size=6)))
+    def test_accepted_ticker_caches_inside_data_dir(self, tmp_path_factory,
+                                                    ticker):
+        start, end = date(2020, 1, 1), date(2021, 1, 1)
+        try:
+            md.AssetRoster([md.RosterEntry(ticker, start, end)])
+        except ValidationError:
+            return
+        data_dir = tmp_path_factory.getbasetemp() / "data"
+        path = md.cache_path(data_dir, ticker, start, end)
+        assert path.resolve().parent == data_dir.resolve()
+        assert path.name.startswith(ticker + "_")

@@ -1,14 +1,22 @@
+import gc
+import mmap
 import struct
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import finite_diff_check
 from volmixer import autodiff as ad
-from volmixer.autodiff import Tensor
+from volmixer import training
+from volmixer.autodiff import Tensor, Workspace
 from volmixer.market_data import make_windows, split_chronological
 from volmixer.model import ModelConfig, TimeMixerModel
-from volmixer.training import (Adam, TrainConfig, TrainingError, evaluate_split,
+from volmixer.training import (Adam, TrainConfig, TrainingError, _fit_epoch,
+                               _normalized_batch, _step, evaluate_split,
                                mse_loss, train)
 
 SMALL = ModelConfig(lookback=16, horizon=4, d_model=8, num_blocks=1,
@@ -49,29 +57,47 @@ class TestMseLoss:
         finite_diff_check(lambda: mse_loss(pred, target), [pred])
 
 
+def fill_grads(model, value, skip=()):
+    """Give every parameter but those in ``skip`` the gradient ``value``."""
+    model.grad_flat[...] = value
+    for name, p in model.params.items():
+        p.grad = None if name in skip else p.grad_buffer
+
+
 class TestAdam:
     def test_zero_gradients_leave_params_unchanged(self):
-        p = Tensor([1.0, -2.0], requires_grad=True)
-        p.grad = np.zeros(2)
-        opt = Adam({"p": p})
+        model = TimeMixerModel(SMALL)
+        model.flat[:2] = [1.0, -2.0]
+        before = model.flat.copy()
+        fill_grads(model, 0.0)
+        opt = Adam(model)
         opt.step()
-        assert p.values.tolist() == [1.0, -2.0]
+        assert model.flat.tobytes() == before.tobytes()
         assert opt.step_count == 1
 
     def test_single_step_matches_hand_computation(self):
-        p = Tensor([0.5], requires_grad=True)
-        p.grad = np.array([0.2])
-        opt = Adam({"p": p}, learning_rate=0.01)
+        model = TimeMixerModel(SMALL)
+        model.flat[...] = 0.5
+        fill_grads(model, 0.2)
+        opt = Adam(model, learning_rate=0.01)
         opt.step()
         # bias-corrected first step: m_hat = g, v_hat = g^2
         expected = 0.5 - 0.01 * 0.2 / (np.sqrt(0.04) + 1e-8)
-        assert abs(p.values[0] - expected) < 1e-15
+        assert np.max(np.abs(model.flat - expected)) < 1e-15
 
     def test_missing_gradient_rejected(self):
-        p = Tensor([1.0], requires_grad=True)
-        opt = Adam({"p": p})
-        with pytest.raises(TrainingError):
+        model = TimeMixerModel(SMALL)
+        opt = Adam(model)
+        fill_grads(model, 0.3)
+        opt.step()
+        fill_grads(model, 0.2, skip={"head.pred1.W"})
+        state = [a.copy() for a in (model.flat, opt.m, opt.v)]
+        with pytest.raises(TrainingError, match=r"'head\.pred1\.W'"):
             opt.step()
+        # all or nothing: no parameter moved and the step was not counted
+        assert opt.step_count == 1
+        for before, after in zip(state, (model.flat, opt.m, opt.v)):
+            assert before.tobytes() == after.tobytes()
 
     def test_deterministic_trajectory(self):
         def run():
@@ -135,9 +161,8 @@ class TestTrain:
                                            seed=seed))
         x_train, y_train = ds.train
         xb, yb = x_train[:32], y_train[:32]
-        from volmixer.training import _normalized_batch
         xn, yn = _normalized_batch(xb, yb)
-        opt = Adam(model.params, learning_rate=1e-3)
+        opt = Adam(model, learning_rate=1e-3)
         losses = []
         for _ in range(6):
             model.zero_grads()
@@ -197,6 +222,123 @@ class TestTrain:
             train(model, ds, TrainConfig(max_epochs=5, patience=5,
                                          batch_size=len(ds.train[0]),
                                          learning_rate=1e150, seed=0))
+
+
+def plain_steps(model, opt, x, y, order, batch_size):
+    """The training step as written before pooling, under plain tapes."""
+    for lo in range(0, order.size, batch_size):
+        xn, yn = _normalized_batch(x[order[lo:lo + batch_size]],
+                                   y[order[lo:lo + batch_size]])
+        model.zero_grads()
+        tape = ad.Tape()
+        with tape:
+            loss = mse_loss(model.forward_normalized(xn), Tensor(yn))
+        ad.backward(loss, tape)
+        opt.step()
+
+
+def pool_backed(array):
+    """Whether ``array``'s memory was cut from a ``Workspace`` slab."""
+    while isinstance(array, np.ndarray):
+        array = array.base
+    return isinstance(array, (mmap.mmap, memoryview))
+
+
+class TestPooledSteps:
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(0, 2 ** 16), st.integers(1, 12), st.integers(1, 12),
+           st.booleans())
+    def test_pooled_steps_equal_plain_steps_bit_for_bit(self, seed, batch,
+                                                        last, one_pool):
+        """3 steps (two of ``batch`` windows, one of ``last`` <= ``batch``)
+        through ``_fit_epoch``, or through one workspace shared by all
+        three, leave ``flat``, ``m`` and ``v`` as plain tapes do."""
+        last = min(last, batch)
+        x, y = sine_dataset(noise=0.1, seed=seed % 7).train
+        order = np.random.default_rng(seed).permutation(x.shape[0])
+        order = order[:2 * batch + last]
+        runs = []
+        for mode in ("plain", "pooled"):
+            model = TimeMixerModel(ModelConfig(**{**SMALL.__dict__,
+                                                  "seed": seed}))
+            opt = Adam(model, learning_rate=1e-2)
+            if mode == "plain":
+                plain_steps(model, opt, x, y, order, batch)
+            elif one_pool:
+                ws = Workspace()
+                for lo in range(0, order.size, batch):
+                    idx = order[lo:lo + batch]
+                    _step(model, opt, ws, *_normalized_batch(x[idx], y[idx]))
+            else:
+                _fit_epoch(model, opt, x, y, order, batch, 0)
+            assert opt.step_count == 3
+            runs.append([a.tobytes() for a in (model.flat, opt.m, opt.v)])
+        assert runs[0] == runs[1]
+
+    def test_reached_grads_are_views_of_grad_flat(self):
+        model = TimeMixerModel(SMALL)
+        x, y = sine_dataset().train
+        ws = Workspace()
+        for _ in range(2):
+            _step(model, Adam(model), ws, *_normalized_batch(x[:8], y[:8]))
+            for name, p in model.params.items():
+                assert np.shares_memory(p.grad, model.grad_flat), name
+                assert not pool_backed(p.grad), name
+
+    def test_pool_is_dropped_before_validation_and_after_train(self,
+                                                               monkeypatch):
+        pools = []
+
+        class Tracked(Workspace):
+            MAPPED = 0      # every buffer from a slab, so pool_backed sees it
+
+            def __init__(self):
+                super().__init__()
+                pools.append(weakref.ref(self))
+
+        def live_pools():
+            gc.collect()
+            return [r for r in pools if r() is not None]
+
+        evaluate = training.evaluate_split
+
+        def checked_evaluate(*args):
+            assert pools and not live_pools()
+            return evaluate(*args)
+
+        monkeypatch.setattr(training, "Workspace", Tracked)
+        monkeypatch.setattr(training, "evaluate_split", checked_evaluate)
+        model = TimeMixerModel(SMALL)
+        report = train(model, sine_dataset(), TrainConfig(
+            batch_size=20, max_epochs=2, patience=2, seed=0))
+        assert len(report.val_losses) == 2
+        assert not live_pools()
+        arrays = [model.flat, model.grad_flat]
+        for p in model.params.values():
+            arrays += [p.values, p.grad, p.grad_buffer]
+        assert not any(pool_backed(a) for a in arrays if a is not None)
+
+    def test_steady_step_allocates_under_1mb(self):
+        """A guard, not a timing: once the pool holds a step's working set
+        (about 37.5 MB at the default config and batch 32 when every array
+        is allocated afresh), a step allocates under 1 MB on the heap."""
+        config = ModelConfig()
+        rng = np.random.default_rng(0)
+        x = 1.0 + 0.1 * rng.standard_normal((32, config.lookback, 1))
+        y = 1.0 + 0.1 * rng.standard_normal((32, config.horizon))
+        batch = _normalized_batch(x, y)
+        model = TimeMixerModel(config)
+        opt, ws = Adam(model), Workspace()
+        for _ in range(2):
+            _step(model, opt, ws, *batch)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            _step(model, opt, ws, *batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 1e6
 
 
 @pytest.mark.slow
