@@ -47,13 +47,9 @@ class TapeError(RuntimeError):
 
 class _Fresh:
     """Where ops outside a pooled tape take arrays from: each ``empty`` is a
-    new array, and nothing is kept or taken back."""
+    new array, and nothing is kept."""
 
     empty = staticmethod(np.empty)
-
-    @staticmethod
-    def give_back(buf: np.ndarray) -> None:
-        pass
 
 
 _FRESH = _Fresh()
@@ -92,27 +88,22 @@ class Tensor:
         """Add ``g`` into ``grad``.
 
         ``owned`` says that the op has just taken ``g`` from ``ws`` and keeps
-        no other reference, so a first gradient is taken as it is, and a
-        ``g`` that is only added or copied is given back. Any other ``g`` is
-        copied first, into an array from ``ws``: ``add`` hands one ``g`` to
-        both of its inputs, and a later ``+=`` must not write into the other.
-        A first gradient is copied into ``grad_buffer`` when there is one,
-        not added to it, so its signed zeros keep their bytes.
+        no other reference, so a first gradient is taken as it is. Any other
+        ``g`` is copied first, into an array from ``ws``: ``add`` hands one
+        ``g`` to both of its inputs, and a later ``+=`` must not write into
+        the other. A first gradient is copied into ``grad_buffer`` when there
+        is one, not added to it, so its signed zeros keep their bytes.
         """
-        if self.grad is None and self.grad_buffer is None:
-            if owned:
-                self.grad = g
-                return
-            self.grad = ws.empty(g.shape)
-            np.copyto(self.grad, g)
-            return
-        if self.grad is None:
+        if self.grad is not None:
+            self.grad += g
+        elif self.grad_buffer is not None:
             self.grad = self.grad_buffer
             np.copyto(self.grad, g)
+        elif owned:
+            self.grad = g
         else:
-            self.grad += g
-        if owned:
-            ws.give_back(g)
+            self.grad = ws.empty(g.shape)
+            np.copyto(self.grad, g)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -133,9 +124,7 @@ class Workspace:
     ``empty`` lends a buffer, cutting a new one only when every buffer of
     that shape and dtype is lent; ``reset`` takes all of them back, so the
     next step's ``empty`` calls get the same buffers and overwrite what the
-    previous step left there. Ops hand their scratch arrays back at once
-    with ``give_back``, so the next request of that shape reuses them while
-    they are still in cache. Buffers of ``MAPPED`` bytes or more are cut
+    previous step left there. Buffers of ``MAPPED`` bytes or more are cut
     from anonymous memory maps of at least ``SLAB`` bytes, so their memory
     goes back to the system once the workspace and its arrays are dropped,
     rather than staying in the heap under the next, larger allocations;
@@ -158,15 +147,6 @@ class Workspace:
         buf = free.pop() if free else self._cut(shape, np.dtype(dtype))
         self._lent.append((key, buf))
         return buf
-
-    def give_back(self, buf: np.ndarray) -> None:
-        """Take back one lent buffer before ``reset``, for the next ``empty``
-        of its shape and dtype; the caller no longer uses it."""
-        for i in range(len(self._lent) - 1, -1, -1):
-            if self._lent[i][1] is buf:
-                key, _ = self._lent.pop(i)
-                self._free.setdefault(key, []).append(buf)
-                return
 
     def reset(self) -> None:
         # reversed, so that ``pop`` lends the buffers in the order the
@@ -227,13 +207,7 @@ def _workspace() -> "Workspace | _Fresh":
 
 
 def _check_finite(values: np.ndarray, op: str, ws) -> None:
-    if ws is _FRESH:    # no lend and give-back calls on a batch-1 forecast
-        finite = np.isfinite(values).all()
-    else:
-        mask = ws.empty(values.shape, np.bool_)
-        finite = np.isfinite(values, out=mask).all()
-        ws.give_back(mask)
-    if not finite:
+    if not np.isfinite(values, out=ws.empty(values.shape, np.bool_)).all():
         raise NumericError(f"non-finite values produced by '{op}'")
 
 
@@ -347,29 +321,23 @@ def _tensordot(a: np.ndarray, b: np.ndarray, axes: tuple,
 
     It forms the same two matrices, a view where ``reshape`` gives one and
     otherwise a C-order copy, but copies into and multiplies into arrays
-    from ``ws``, so the same GEMM runs on the same operands; the copies go
-    back to ``ws`` at once.
+    from ``ws``, so the same GEMM runs on the same operands.
     """
-    copies = []
-
     def matrix(x, order, rows):
         t = x.transpose(order)
         shape = (math.prod(t.shape[:rows]), math.prod(t.shape[rows:]))
         if _merges(t, 0, rows) and _merges(t, rows, t.ndim):
             return t.reshape(shape)
-        copies.append(ws.empty(t.shape))
-        np.copyto(copies[-1], t)
-        return copies[-1].reshape(shape)
+        copy = ws.empty(t.shape)
+        np.copyto(copy, t)
+        return copy.reshape(shape)
 
     axes = list(axes)
     keep_a = [k for k in range(a.ndim) if k not in axes]
     keep_b = [k for k in range(b.ndim) if k not in axes]
     at = matrix(a, keep_a + axes, len(keep_a))
     bt = matrix(b, axes + keep_b, len(axes))
-    out = np.dot(at, bt, out=ws.empty((at.shape[0], bt.shape[1])))
-    for buf in copies:
-        ws.give_back(buf)
-    return out
+    return np.dot(at, bt, out=ws.empty((at.shape[0], bt.shape[1])))
 
 
 def _merges(x: np.ndarray, lo: int, hi: int) -> bool:
@@ -413,64 +381,45 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
-_PIECE = 1 << 14    # elements per piece of an elementwise kernel
-
-
-def _pieces(*arrays):
-    """Matching flat pieces of equally shaped arrays, ``_PIECE`` elements
-    at a time; the arrays whole if they are smaller or one is not
-    C-contiguous. A kernel of many elementwise passes runs piece by piece
-    so that its passes read from cache, with each element rounded as over
-    the whole array."""
-    size = arrays[0].size
-    if size <= _PIECE or not all(a.flags.c_contiguous for a in arrays):
-        return (arrays,)
-    flat = [a.reshape(-1) for a in arrays]
-    return [[f[lo:lo + _PIECE] for f in flat] for lo in range(0, size, _PIECE)]
 
 
 def gelu(x: Tensor) -> Tensor:
     """Elementwise x * Phi(x), tanh approximation.
 
     Cubes and squares are products, not ``**`` (NumPy's generic power path is
-    slow). Each kernel works in place on its own scratch buffers, piece by
-    piece, and ``x`` is never written. The backward closure keeps only
-    ``v`` and ``t``; it recomputes ``v * v``.
+    slow). Each kernel works in place on its own scratch buffers (``out=``
+    keeps them arrays for 0-d input), and ``x`` is never written. The
+    backward closure keeps only ``v`` and ``t``; it recomputes ``v * v``.
     """
     v = x.values
     ws = _workspace()
-    t, out = ws.empty(v.shape), ws.empty(v.shape)
-    for vp, tp, op in _pieces(v, t, out):
-        np.multiply(vp, vp, out=tp)
-        tp *= vp
-        tp *= 0.044715
-        tp += vp
-        tp *= _GELU_C
-        np.tanh(tp, out=tp)
-        np.add(tp, 1.0, out=op)
-        op *= vp
-        op *= 0.5
+    t = np.multiply(v, v, out=ws.empty(v.shape))
+    t *= v
+    t *= 0.044715
+    t += v
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = np.add(t, 1.0, out=ws.empty(v.shape))
+    out *= v
+    out *= 0.5
 
     def bwd(g):
         if x.requires_grad:
             # g * (0.5 * (1 + t) + 0.5 * v * sech2 * d_inner), rounded in
             # that order, with sech2 = 1 - t * t.
-            d, s = ws.empty(v.shape), ws.empty(v.shape)
-            for vp, tp, gp, dp, sp in _pieces(v, t, g, d, s):
-                np.multiply(vp, vp, out=dp)                 # d_inner
-                dp *= 3 * 0.044715
-                dp += 1.0
-                dp *= _GELU_C
-                np.multiply(tp, tp, out=sp)                 # second term
-                np.subtract(1.0, sp, out=sp)
-                sp *= vp
-                sp *= 0.5
-                sp *= dp
-                np.add(tp, 1.0, out=dp)                     # first term
-                dp *= 0.5
-                dp += sp
-                dp *= gp
-            ws.give_back(s)
+            d = np.multiply(v, v, out=ws.empty(v.shape))    # d_inner
+            d *= 3 * 0.044715
+            d += 1.0
+            d *= _GELU_C
+            s = np.multiply(t, t, out=ws.empty(v.shape))    # second term
+            np.subtract(1.0, s, out=s)
+            s *= v
+            s *= 0.5
+            s *= d
+            np.add(t, 1.0, out=d)                           # first term
+            d *= 0.5
+            d += s
+            d *= g
             x._accumulate(d, owned=True, ws=ws)
 
     return _make(out, (x,), bwd, "gelu", ws)
@@ -663,7 +612,6 @@ def cascade(up_base: np.ndarray, up_weights: Sequence[Tensor],
             back = np.matmul(g_prod, w.values.T,
                              out=ws.empty((lo + 1, lo - fine)))
             g_up[:lo + 1, fine:lo] += back
-            ws.give_back(back)
         for m in range(n - 1):
             (lo, hi), (_, coarse) = bounds[m], bounds[m + 1]
             w, b = down_weights[m], down_biases[m]
@@ -677,9 +625,6 @@ def cascade(up_base: np.ndarray, up_weights: Sequence[Tensor],
             back = np.matmul(g_prod, w.values.T,
                              out=ws.empty((total + 1 - hi, coarse - hi)))
             g_down[hi:, hi:coarse] += back
-            ws.give_back(back)
-        ws.give_back(g_up)
-        ws.give_back(g_down)
 
     _record((a, bias), params, bwd)
     return a, bias
