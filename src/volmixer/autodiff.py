@@ -6,12 +6,14 @@ once, in reverse, accumulating gradients into every tensor that was created
 with ``requires_grad=True``. Outside a tape block nothing is recorded, so
 inference passes carry no gradient state.
 
-A tape built with a ``Workspace`` is pooled: under it, every op takes its
-outputs, gradients and scratch arrays from that pool, and the pool hands the
-same buffers out again after its ``reset``. So a training loop that resets
-one workspace per step reuses one step's working set, and the arrays of the
-previous step are overwritten by the next. Under a plain ``Tape()`` or no
-tape, every op allocates fresh arrays.
+Arrays are pooled inside a ``with workspace:`` block (a ``Workspace``):
+under it, every op takes its outputs, gradients and scratch arrays from that
+pool, and the pool hands the same buffers out again after its ``reset``. So a
+training loop that resets one workspace per step, and records each step on a
+plain ``Tape()`` inside it, reuses one step's working set, and a forward-only
+pass that resets one between chunks of windows reuses one chunk's; the arrays
+of the previous step or chunk are overwritten by the next. Outside every
+workspace block, each op allocates fresh arrays.
 
 Only the operations the forecaster actually needs are provided, with no
 general broadcasting. Every map along the time axis (moving average, pooling,
@@ -46,8 +48,8 @@ class TapeError(RuntimeError):
 
 
 class _Fresh:
-    """Where ops outside a pooled tape take arrays from: each ``empty`` is a
-    new array, and nothing is kept."""
+    """Where ops outside every workspace block take arrays from: each
+    ``empty`` is a new array, and nothing is kept."""
 
     empty = staticmethod(np.empty)
 
@@ -87,12 +89,13 @@ class Tensor:
                     ws: "Workspace | _Fresh" = _FRESH) -> None:
         """Add ``g`` into ``grad``.
 
-        ``owned`` says that the op has just taken ``g`` from ``ws`` and keeps
-        no other reference, so a first gradient is taken as it is. Any other
-        ``g`` is copied first, into an array from ``ws``: ``add`` hands one
-        ``g`` to both of its inputs, and a later ``+=`` must not write into
-        the other. A first gradient is copied into ``grad_buffer`` when there
-        is one, not added to it, so its signed zeros keep their bytes.
+        ``owned`` says that the caller hands ``g`` over and reads it no more
+        once this tensor's gradient can change, so a first gradient is taken
+        as it is. Any other ``g`` is copied first, into an array from ``ws``:
+        ``add`` hands its ``g`` over to one input and gives the other a copy,
+        since a later ``+=`` into one must not write into the other. A first
+        gradient is copied into ``grad_buffer`` when there is one, not added
+        to it, so its signed zeros keep their bytes.
         """
         if self.grad is not None:
             self.grad += g
@@ -119,17 +122,18 @@ class _Node:
 
 
 class Workspace:
-    """Pool of arrays for pooled tapes, lent by shape and dtype.
+    """Pool of arrays, lent by shape and dtype inside ``with workspace:``.
 
-    ``empty`` lends a buffer, cutting a new one only when every buffer of
-    that shape and dtype is lent; ``reset`` takes all of them back, so the
-    next step's ``empty`` calls get the same buffers and overwrite what the
-    previous step left there. Buffers of ``MAPPED`` bytes or more are cut
-    from anonymous memory maps of at least ``SLAB`` bytes, so their memory
-    goes back to the system once the workspace and its arrays are dropped,
-    rather than staying in the heap under the next, larger allocations;
-    smaller ones come from the heap, which reuses them without faulting
-    memory in again.
+    While the block is the innermost one entered, every op takes its arrays
+    from the workspace. ``empty`` lends a buffer, cutting a new one only when
+    every buffer of that shape and dtype is lent; ``reset`` takes all of them
+    back, so the next step's ``empty`` calls get the same buffers and
+    overwrite what the previous step left there. Buffers of ``MAPPED`` bytes
+    or more are cut from anonymous memory maps of at least ``SLAB`` bytes, so
+    their memory goes back to the system once the workspace and its arrays
+    are dropped, rather than staying in the heap under the next, larger
+    allocations; smaller ones come from the heap, which reuses them without
+    faulting memory in again.
     """
 
     SLAB = 16 << 20
@@ -147,6 +151,13 @@ class Workspace:
         buf = free.pop() if free else self._cut(shape, np.dtype(dtype))
         self._lent.append((key, buf))
         return buf
+
+    def __enter__(self) -> "Workspace":
+        _POOLS.append(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _POOLS.pop()
 
     def reset(self) -> None:
         # reversed, so that ``pop`` lends the buffers in the order the
@@ -170,16 +181,15 @@ class Workspace:
 class Tape:
     """Ordered record of operations, replayable backward exactly once.
 
-    With a ``workspace`` the tape is pooled: the ops under it and their
-    backward take every array from the workspace, so its outputs and the
-    gradients ``backward`` leaves on tensors without a ``grad_buffer`` are
-    overwritten once the workspace is reset for the next step.
+    Recorded inside ``with workspace:``, the ops and their backward take
+    every array from that workspace, so the tape's outputs and the gradients
+    ``backward`` leaves on tensors without a ``grad_buffer`` are overwritten
+    once the workspace is reset for the next step.
     """
 
-    def __init__(self, workspace: Optional[Workspace] = None):
+    def __init__(self):
         self.nodes: list[_Node] = []
         self.used = False
-        self.workspace = workspace
 
     def __enter__(self) -> "Tape":
         _ACTIVE.append(self)
@@ -193,6 +203,7 @@ class Tape:
 
 
 _ACTIVE: list[Tape] = []
+_POOLS: list[Workspace] = []
 
 
 def active_tape() -> Optional[Tape]:
@@ -200,10 +211,8 @@ def active_tape() -> Optional[Tape]:
 
 
 def _workspace() -> "Workspace | _Fresh":
-    """The active tape's workspace, or ``_FRESH`` outside a pooled tape."""
-    if not _ACTIVE or _ACTIVE[-1].workspace is None:
-        return _FRESH
-    return _ACTIVE[-1].workspace
+    """The innermost workspace entered, or ``_FRESH`` outside all of them."""
+    return _POOLS[-1] if _POOLS else _FRESH
 
 
 def _check_finite(values: np.ndarray, op: str, ws) -> None:
@@ -259,10 +268,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     ws = _workspace()
 
     def bwd(g):
-        if a.requires_grad:
-            a._accumulate(g, ws=ws)
-        if b.requires_grad:
-            b._accumulate(g, ws=ws)
+        # nothing reads this node's output gradient again, so the first input
+        # served takes ``g`` itself and only the other one a copy
+        owned = True
+        for t in (a, b):
+            if t.requires_grad:
+                t._accumulate(g, owned=owned, ws=ws)
+                owned = False
 
     return _make(np.add(a.values, b.values, out=ws.empty(a.shape)), (a, b),
                  bwd, "add", ws)

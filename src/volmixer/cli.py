@@ -273,8 +273,7 @@ def _score_pairs(config: RunConfig, get_model) -> int:
 def _load_checkpoint(config: RunConfig, entry, horizon: int):
     ckpt = Path(config.out_dir) / f"{entry.ticker}_F{horizon}.ckpt"
     if not ckpt.exists():
-        raise evaluation.EvaluationError(
-            f"missing checkpoint {ckpt}; run 'train' first")
+        raise CheckpointError(f"missing checkpoint {ckpt}; run 'train' first")
     model = TimeMixerModel.load(ckpt)
     wanted = config.model_config(horizon)
     for key in ("lookback", "channels", "horizon"):

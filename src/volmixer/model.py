@@ -26,6 +26,9 @@ _MAGIC = b"VOLMIXCK"
 _FORMAT_VERSION = 1
 _STD_FLOOR = 1e-8
 EVAL_BATCH = 256    # windows per forward-only call when scoring a split
+# bytes of the widest activation of one chunk of a forward-only pass: a chunk
+# this size stays in a 2 MB L2 cache from op to op
+_CHUNK_BYTES = 1 << 20
 
 
 class CheckpointError(ValueError):
@@ -166,6 +169,14 @@ def _stack_maps(lookback: int, num_scales: int,
     return ladder, season, trend
 
 
+def _chunk_windows(config: ModelConfig) -> int:
+    """Windows per chunk of a forward-only pass: as many as keep the widest
+    (windows, ΣT, max(d_model, ff_hidden)) activation within ``_CHUNK_BYTES``,
+    and at least one."""
+    width = sum(config.scale_lengths()) * max(config.d_model, config.ff_hidden)
+    return max(1, _CHUNK_BYTES // (8 * width))
+
+
 class TimeMixerModel:
     """Forecaster with deterministic seeded initialization.
 
@@ -253,12 +264,7 @@ class TimeMixerModel:
         first along time. The ladder only averages time steps, so it
         commutes with the per-step embedding and runs first, on C channels.
         """
-        x_norm = np.asarray(x_norm, dtype=np.float64)
-        if x_norm.ndim != 3 or x_norm.shape[1:] != (self.config.lookback,
-                                                    self.config.channels):
-            raise ad.ShapeError(
-                f"expected (batch, {self.config.lookback}, "
-                f"{self.config.channels}), got {x_norm.shape}")
+        x_norm = self._check_windows(x_norm)
         ladder, _, _ = _stack_maps(self.config.lookback, self.config.num_scales,
                                    self.config.decomp_kernel)
         stack = ad.linear(ad.time_linear(Tensor(x_norm), ladder),
@@ -269,6 +275,41 @@ class TimeMixerModel:
         y = ad.linear(fused, self.params["out.W"], self.params["out.b"])
         return ad.reshape(y, (x_norm.shape[0], self.config.horizon))
 
+    def _check_windows(self, x_norm) -> np.ndarray:
+        """``x_norm`` as float64, once it is seen to be (B, P, C)."""
+        x_norm = np.asarray(x_norm, dtype=np.float64)
+        if x_norm.ndim != 3 or x_norm.shape[1:] != (self.config.lookback,
+                                                    self.config.channels):
+            raise ad.ShapeError(
+                f"expected (batch, {self.config.lookback}, "
+                f"{self.config.channels}), got {x_norm.shape}")
+        return x_norm
+
+    def predict_normalized(self, x_norm: np.ndarray) -> np.ndarray:
+        """``forward_normalized(x_norm).values``: the forward-only pass of
+        forecasts and validation.
+
+        Without an active tape, a batch of more than
+        k = max(1, 1 MiB // (8 ΣT max(d_model, ff_hidden))) windows runs as
+        ``forward_normalized`` calls of k windows each, so that a chunk's
+        activations stay in cache from op to op, on one workspace that is
+        reset between chunks; each chunk's rows are copied into a fresh
+        (B, F) array. Every op computes each window's rows on their own, so
+        the result is byte-identical to a whole-batch pass. A smaller batch,
+        and every batch under a tape, runs whole.
+        """
+        x_norm = self._check_windows(x_norm)
+        n, k = x_norm.shape[0], _chunk_windows(self.config)
+        if n <= k or ad.active_tape() is not None:
+            return self.forward_normalized(x_norm).values
+        out = np.empty((n, self.config.horizon))
+        with ad.Workspace() as pool:
+            for lo in range(0, n, k):
+                pool.reset()
+                out[lo:lo + k] = self.forward_normalized(
+                    x_norm[lo:lo + k]).values
+        return out
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Predict from raw windows; (P, C) or (B, P, C) -> (F,) or (B, F)."""
         x = np.asarray(x, dtype=np.float64)
@@ -276,7 +317,7 @@ class TimeMixerModel:
         if squeeze:
             x = x[None]
         x_norm, stats = instance_normalize(x)
-        out = denormalize(self.forward_normalized(x_norm).values, stats)
+        out = denormalize(self.predict_normalized(x_norm), stats)
         return out[0] if squeeze else out
 
     # -- checkpointing ------------------------------------------------------

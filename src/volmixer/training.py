@@ -3,12 +3,13 @@
 The loss is MSE on the instance-normalized scale, which keeps step sizes
 comparable across assets whose volatility levels differ by orders of
 magnitude. Validation passes run outside any tape, so they record no
-gradient state. Training steps run on tapes pooled by an epoch's
+gradient state. Training steps record on tapes inside an epoch's
 ``autodiff.Workspace``, so each step reuses the previous step's arrays.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import time
 from dataclasses import dataclass, field, asdict
@@ -134,7 +135,7 @@ def evaluate_split(model: TimeMixerModel, x: np.ndarray, y: np.ndarray) -> float
     total, count = 0.0, 0
     for lo in range(0, x.shape[0], EVAL_BATCH):
         xb, yb = _normalized_batch(x[lo:lo + EVAL_BATCH], y[lo:lo + EVAL_BATCH])
-        pred = model.forward_normalized(xb).values
+        pred = model.predict_normalized(xb)
         total += float(np.sum((pred - yb) ** 2))
         count += yb.size
     return total / count
@@ -145,17 +146,16 @@ def _step(model: TimeMixerModel, optimizer: Adam,
           yb: np.ndarray) -> float:
     """One Adam step on a normalized batch; the batch loss.
 
-    With a ``workspace`` the step records on a tape pooled by it, which it
-    resets first: it reuses the arrays of the workspace's previous step, so
-    once the pool holds a step's working set, a step of the same batch
-    size allocates no activations, gradients or scratch anew. Without one,
-    the step allocates afresh.
+    With a ``workspace``, which it resets first, the step records on a
+    plain tape inside it: it reuses the arrays of the workspace's previous
+    step, so once the pool holds a step's working set, a step of the same
+    batch size allocates no activations, gradients or scratch anew. Without
+    one, the step allocates afresh.
     """
     model.zero_grads()
     if workspace is not None:
         workspace.reset()
-    tape = Tape(workspace)
-    with tape:
+    with workspace or contextlib.nullcontext(), Tape() as tape:
         loss = mse_loss(model.forward_normalized(xb), Tensor(yb))
     ad.backward(loss, tape)
     optimizer.step()

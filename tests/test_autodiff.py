@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -300,6 +301,29 @@ class TestBackward:
         ad.backward(loss, tape)
         assert a.grad.tolist() == [2 / 4] * 4
 
+    @pytest.mark.parametrize("pool", [contextlib.nullcontext, Workspace])
+    def test_add_hands_its_gradient_to_one_input(self, pool):
+        # a takes the add's g itself and b a copy; the multiply recorded
+        # before the add then accumulates into a, which must leave b alone
+        a = Tensor([1.0, -2.0, 3.0, 0.5], requires_grad=True)
+        b = Tensor([0.0, 4.0, -1.0, 2.0], requires_grad=True)
+        k = Tensor([2.0, 3.0, 5.0, 7.0])
+        with pool(), Tape() as tape:
+            q = ad.multiply(a, k)
+            loss = ad.mean(ad.add(ad.add(a, b), q))
+        ad.backward(loss, tape)
+        assert b.grad.tolist() == [1 / 4] * 4
+        assert a.grad.tolist() == [0.75, 1.0, 1.5, 2.0]    # (1 + k) / 4
+
+    @pytest.mark.parametrize("pool", [contextlib.nullcontext, Workspace])
+    def test_add_of_a_tensor_with_itself_doubles_its_gradient(self, pool):
+        x = Tensor([1.0, -2.0, 3.0, 0.5], requires_grad=True)
+        k = Tensor([2.0, 3.0, 5.0, 7.0])
+        with pool(), Tape() as tape:
+            loss = ad.mean(ad.multiply(ad.add(x, x), k))
+        ad.backward(loss, tape)
+        assert x.grad.tolist() == [1.0, 1.5, 2.5, 3.5]      # 2 * k / 4
+
     def test_non_scalar_loss_rejected(self, rng):
         w = leaf(rng, 3)
         tape = Tape()
@@ -354,15 +378,32 @@ class TestWorkspace:
             assert x.ctypes.data % 64 == 0
             assert not any(np.shares_memory(x, y) for y in bufs[:i])
 
+    def test_innermost_entered_workspace_lends(self, rng):
+        outer, inner = Workspace(), Workspace()
+        assert ad._workspace() is ad._FRESH
+        with outer:
+            with inner:
+                assert ad._workspace() is inner
+                out = ad.gelu(leaf(rng, 3))
+            assert ad._workspace() is outer
+            with pytest.raises(NumericError), inner, \
+                    np.errstate(invalid="ignore"):
+                ad.gelu(Tensor([math.nan]))
+            assert ad._workspace() is outer
+        assert ad._workspace() is ad._FRESH
+        assert any(buf is out.values for _, buf in inner._lent)
+        assert not outer._lent
+
     @staticmethod
-    def step(tape):
-        """A forward and backward through every op that has a backward."""
+    def step(pool):
+        """A forward and backward through every op that has a backward, on a
+        plain tape inside ``pool``."""
         rng = np.random.default_rng(3)
         x, w = leaf(rng, 2, 6, 3), leaf(rng, 3, 3)
         ws = [leaf(rng, 3, 3) for _ in range(2)]
         bs = [leaf(rng, 3) for _ in range(2)]
         a, lengths = leaf(rng, 6, 6), [4, 2]
-        with tape:
+        with pool, Tape() as tape:
             h = ad.gelu(ad.linear(x, w, bs[0]))
             h = ad.time_linear(ad.segment_linear(h, ws, bs, lengths), a)
             h = ad.reshape(ad.concat([ad.add(h, ad.subtract(h, x)), x]),
@@ -374,25 +415,25 @@ class TestWorkspace:
     def test_pooled_tape_reuses_its_arrays_after_reset(self):
         ws = Workspace()
         ws.MAPPED = 0       # every buffer from a slab: none cut anew below
-        loss, leaves = self.step(Tape(ws))
+        loss, leaves = self.step(ws)
         first, slab, used = [t.grad for t in leaves], ws._slab, ws._used
         ws.reset()
-        loss2, leaves2 = self.step(Tape(ws))
+        loss2, leaves2 = self.step(ws)
         for g, t in zip(first, leaves2):
             assert np.shares_memory(g, t.grad)
         assert (ws._slab, ws._used) == (slab, used)     # nothing new was cut
         assert float(loss.values) == float(loss2.values)
 
     def test_plain_tape_never_reuses_memory(self):
-        _, leaves = self.step(Tape())
-        _, leaves2 = self.step(Tape())
+        _, leaves = self.step(contextlib.nullcontext())
+        _, leaves2 = self.step(contextlib.nullcontext())
         for t, u in zip(leaves, leaves2):
             assert not np.shares_memory(t.grad, u.grad)
             assert t.grad.tobytes() == u.grad.tobytes()
 
     def test_pooled_gradients_equal_plain_ones(self):
-        _, plain = self.step(Tape())
-        _, pooled = self.step(Tape(Workspace()))
+        _, plain = self.step(contextlib.nullcontext())
+        _, pooled = self.step(Workspace())
         for t, u in zip(plain, pooled):
             assert t.grad.tobytes() == u.grad.tobytes()
 
@@ -411,14 +452,13 @@ class TestWorkspace:
         values = np.array([1.0, bad, 2.0])
         if op == "cascade":
             values = np.array([1.0, 2.0, bad])
-        with Tape(Workspace()), np.errstate(all="ignore"), \
+        with Workspace(), Tape(), np.errstate(all="ignore"), \
                 pytest.raises(NumericError, match=f"'{op}'"):
             call(values)
 
     def test_second_backward_under_pooled_tape_rejected(self, rng):
         w = leaf(rng, 2)
-        tape = Tape(Workspace())
-        with tape:
+        with Workspace(), Tape() as tape:
             loss = ad.mean(ad.multiply(w, w))
         ad.backward(loss, tape)
         with pytest.raises(TapeError):

@@ -51,3 +51,49 @@ def test_regression_fails(tmp_path, after, culprit):
     regressed = [line for line in done.stdout.splitlines()
                  if line.startswith("REGRESSED")]
     assert len(regressed) == 1 and culprit in regressed[0], done.stdout
+
+
+def claim(tmp_path, parent, change, metric="throughput_per_s"):
+    """Run ``--claim forecast:<metric>`` on two files of paired runs."""
+    paths = []
+    for name, values in (("parent", parent), ("change", change)):
+        paths.append(tmp_path / f"{name}.jsonl")
+        paths[-1].write_text("".join(
+            json.dumps({"correct": True, "attempted": 10, "failed": 0,
+                        "metrics": {metric: {"value": v}}}) + "\n"
+            for v in values))
+    return subprocess.run([sys.executable, str(SCRIPT), "--claim",
+                           f"forecast:{metric}", *map(str, paths)],
+                          capture_output=True, text=True, timeout=60)
+
+
+PARENT = [1465.0, 1500.0, 1550.0, 1580.0, 1590.0, 1600.0, 1610.0, 1620.0,
+          1630.0, 1642.0]     # quartiles 1557.5-1617.5, IQR 60
+
+
+@pytest.mark.parametrize("change, code, wins", [
+    ([v + 600 for v in PARENT], 0, "10/10"),                 # wide gap
+    ([v + 600 for v in PARENT[:8]] + [1000.0, 1000.0], 1, "8/10"),
+    ([v + 1 for v in PARENT], 1, "10/10"),                   # gap inside IQR
+    ([v + 600 for v in PARENT[:9]] + [PARENT[9]], 0, "9/10 pairs (1 tied)"),
+    ([v + 600 for v in PARENT[:8]] + PARENT[8:], 1, "8/10 pairs (2 tied)"),
+])
+def test_claim_needs_nine_tenths_of_pairs_and_a_gap_above_the_iqr(
+        tmp_path, change, code, wins):
+    done = claim(tmp_path, PARENT, change)
+    assert done.returncode == code, done.stdout + done.stderr
+    assert f"change better in {wins}" in done.stdout
+    assert "IQR 60" in done.stdout
+    assert ("HOLDS" if code == 0 else "NOT MET") in done.stdout
+
+
+def test_claim_on_a_lower_is_better_metric(tmp_path):
+    parent = [2.2, 2.3, 2.4, 2.5, 2.6, 2.2, 2.3, 2.4, 2.5, 2.6]
+    faster = [v - 1.0 for v in parent]
+    assert claim(tmp_path, parent, faster, "job_s").returncode == 0
+    assert claim(tmp_path, faster, parent, "job_s").returncode == 1
+
+
+def test_claim_rejects_unpaired_files(tmp_path):
+    done = claim(tmp_path, PARENT, PARENT[:9])
+    assert done.returncode == 2 and "equally many runs" in done.stderr

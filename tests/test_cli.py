@@ -240,7 +240,23 @@ class TestPipeline:
     def test_eval_without_checkpoints_fails(self, workspace):
         tmp, config, fixtures = workspace
         run_cli(config, "fetch", "--fixtures", str(fixtures))
-        assert run_cli(config, "eval") == 2
+        assert run_cli(config, "eval") == 3
+        manifest = json.loads((tmp / "out" / "manifest.json").read_text())
+        assert [(f["ticker"], f["horizon"]) for f in manifest["failures"]] \
+            == [("ALPHA", 4), ("BETA", 4)]
+
+    def test_eval_missing_one_checkpoint_fails_only_its_pair(self, workspace):
+        tmp, config, fixtures = workspace
+        run_cli(config, "fetch", "--fixtures", str(fixtures))
+        assert run_cli(config, "train") == 0
+        (tmp / "out" / "ALPHA_F4.ckpt").unlink()
+        assert run_cli(config, "eval") == 3
+        manifest = json.loads((tmp / "out" / "manifest.json").read_text())
+        assert [(f["ticker"], f["horizon"]) for f in manifest["failures"]] \
+            == [("ALPHA", 4)]
+        assert "missing checkpoint" in manifest["failures"][0]["error"]
+        csv = (tmp / "out" / "metrics.csv").read_text()
+        assert "BETA," in csv and "ALPHA" not in csv
 
     def test_run_isolates_per_pair_failures(self, workspace):
         tmp, config, fixtures = workspace

@@ -11,12 +11,16 @@ from conftest import FIXTURES, finite_diff_check
 from volmixer import autodiff as ad
 from volmixer.autodiff import Tape, Tensor
 from volmixer.model import (CheckpointError, ModelConfig, TimeMixerModel,
-                            denormalize, instance_normalize, parameter_shapes)
+                            _chunk_windows, denormalize, instance_normalize,
+                            parameter_shapes)
 from volmixer.multiscale import ConfigError, build_multiscale
 from volmixer.training import mse_loss
 
 TINY = ModelConfig(lookback=8, horizon=2, channels=1, d_model=4, num_blocks=1,
                    num_scales=1, decomp_kernel=3, ff_hidden=4, seed=7)
+# the model of the sweep benchmark workload
+SWEEP = ModelConfig(lookback=32, horizon=12, d_model=4, num_blocks=1,
+                    num_scales=2, decomp_kernel=9, ff_hidden=8)
 
 
 def embedded_stack(model, rng, batch=2):
@@ -378,6 +382,66 @@ class TestForward:
         x[10] = np.nan
         with pytest.raises(ad.NumericError):
             model.forward(x)
+
+
+class TestPredictNormalized:
+    @pytest.mark.parametrize("cfg", [ModelConfig(), ModelConfig(channels=3),
+                                     SWEEP], ids=["default", "C3", "sweep"])
+    def test_byte_identical_to_whole_batch_under_a_tape(self, cfg):
+        model = TimeMixerModel(cfg)
+        k = _chunk_windows(cfg)
+        rng = np.random.default_rng(k)
+        for batch in (1, k - 1, k, k + 1, 2 * k + 3, 256):
+            x = rng.normal(size=(batch, cfg.lookback, cfg.channels))
+            with Tape():
+                whole = model.forward_normalized(x).values
+                assert model.predict_normalized(x).tobytes() == \
+                    whole.tobytes(), batch
+            assert model.predict_normalized(x).tobytes() == \
+                whole.tobytes(), batch
+
+    def test_chunks_are_whole_forward_passes(self, rng, monkeypatch):
+        # each chunk is one forward_normalized call, of at most k windows
+        model = TimeMixerModel(ModelConfig())
+        k = _chunk_windows(model.config)
+        sizes, forward = [], TimeMixerModel.forward_normalized
+
+        def counted(self, x_norm):
+            sizes.append(len(x_norm))
+            return forward(self, x_norm)
+
+        monkeypatch.setattr(TimeMixerModel, "forward_normalized", counted)
+        model.predict_normalized(rng.normal(size=(2 * k + 3, 64, 1)))
+        assert sizes == [k, k, 3]
+        sizes.clear()
+        with Tape():
+            model.predict_normalized(rng.normal(size=(2 * k + 3, 64, 1)))
+        assert sizes == [2 * k + 3]
+
+    def test_chunk_rule(self):
+        # the widest activation, (k, ΣT, ff_hidden), within 1 MiB
+        assert _chunk_windows(ModelConfig()) == (1 << 20) // (8 * 120 * 64)
+        assert _chunk_windows(SWEEP) >= 256     # the sweep never chunks
+        assert _chunk_windows(ModelConfig(d_model=4096)) == 1
+
+    def test_error_in_a_chunk_names_the_op_and_leaves_no_workspace(self,
+                                                                   rng):
+        model = TimeMixerModel(ModelConfig())
+        k = _chunk_windows(model.config)
+        x = rng.normal(size=(3 * k, 64, 1))
+        x[2 * k + 1, 5, 0] = np.nan                       # the third chunk
+        with pytest.raises(ad.NumericError, match="'time_linear'"):
+            model.predict_normalized(x)
+        assert ad._workspace() is ad._FRESH
+
+    def test_results_own_their_memory(self, rng):
+        model = TimeMixerModel(ModelConfig())
+        x = rng.normal(size=(3 * _chunk_windows(model.config) + 2, 64, 1))
+        first = model.predict_normalized(x)
+        second = model.predict_normalized(x)
+        assert first.flags.owndata and second.flags.owndata
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == second.tobytes()
 
 
 class TestGradients:

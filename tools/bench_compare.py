@@ -2,6 +2,7 @@
 """Gate one set of saved benchmark results against an earlier one.
 
     python3 tools/bench_compare.py before.json after.json
+    python3 tools/bench_compare.py --claim WORKLOAD:METRIC parent.jsonl change.jsonl
 
 Each file maps a workload name to the JSON object that ``perfbench/run.py``
 prints as its last line (``correct``, ``attempted``, ``failed``,
@@ -11,12 +12,21 @@ than the earlier one by at most the metric's relative bound. A workload or
 metric that the later file lacks, a run that is no longer correct and a
 larger share of failed operations also count as regressions. Prints one
 line per comparison; exits 1 if anything regressed, 0 otherwise.
+
+With ``--claim``, each file holds the result lines of repeated runs of one
+workload, one run per line, and line k of each file is pair k, run
+alternately. It prints the metric's wins/pairs, both medians and both
+quartile ranges, and exits 1 unless the change wins at least nine tenths of
+the pairs (a tie counts for neither side) and its median is better than the
+parent's by more than the parent's interquartile range, or if a change run
+is not correct.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -64,12 +74,58 @@ def compare(before: dict, after: dict, spec: dict) -> list[tuple[str, bool]]:
     return lines
 
 
+def claim(parent: list[dict], change: list[dict], metric: dict,
+          label: str) -> tuple[list[str], bool]:
+    """Report lines and whether the change's gain on ``metric`` holds over
+    the paired runs ``parent[k]``, ``change[k]``."""
+    name, lower = metric["name"], metric["better"] == "lower"
+    old = [run["metrics"][name]["value"] for run in parent]
+    new = [run["metrics"][name]["value"] for run in change]
+    wins = sum((b < a) if lower else (b > a) for a, b in zip(old, new))
+    ties = sum(a == b for a, b in zip(old, new))
+    # quartiles and median, interpolated as NumPy's default percentile is
+    p1, p2, p3 = statistics.quantiles(old, n=4, method="inclusive")
+    c1, c2, c3 = statistics.quantiles(new, n=4, method="inclusive")
+    gap = (p2 - c2) if lower else (c2 - p2)
+    broken = sum(not run["correct"] for run in change)
+    held = wins >= 0.9 * len(old) and gap > p3 - p1 and not broken
+    unit = metric["unit"]
+    return [f"{label}: change better in {wins}/{len(old)} pairs "
+            f"({ties} tied)",
+            f"parent median {p2:.6g} {unit}, quartiles {p1:.6g}-{p3:.6g} "
+            f"(IQR {p3 - p1:.6g})",
+            f"change median {c2:.6g} {unit}, quartiles {c1:.6g}-{c3:.6g}",
+            f"median gap {gap:.6g} {unit} in the better direction; "
+            f"{broken} change runs not correct",
+            f"claim {'HOLDS' if held else 'NOT MET'} (needs 9/10 of the "
+            f"pairs and a gap above the parent's IQR)"], held
+
+
+def read_runs(path: Path) -> list[dict]:
+    return [json.loads(line) for line in path.read_text().splitlines()
+            if line.strip()]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--claim", metavar="WORKLOAD:METRIC",
+                        help="test a claimed gain over paired runs")
     parser.add_argument("before", type=Path)
     parser.add_argument("after", type=Path)
     args = parser.parse_args(argv)
     spec = json.loads(SPEC.read_text())
+    if args.claim:
+        name = args.claim.partition(":")[2]
+        metric = next((m for m in spec["end_to_end"] + spec["per_layer"]
+                       if m["name"] == name), None)
+        parent, change = read_runs(args.before), read_runs(args.after)
+        if metric is None or len(parent) != len(change) or len(parent) < 2:
+            parser.error(f"{args.claim}: needs a metric of {SPEC.name} and "
+                         f"two files of equally many runs, at least 2; got "
+                         f"{len(parent)} and {len(change)}")
+        lines, held = claim(parent, change, metric, args.claim)
+        print("\n".join(lines))
+        return 0 if held else 1
     lines = compare(json.loads(args.before.read_text()),
                     json.loads(args.after.read_text()), spec)
     for message, regressed in lines:
