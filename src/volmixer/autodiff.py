@@ -15,6 +15,14 @@ pass that resets one between chunks of windows reuses one chunk's; the arrays
 of the previous step or chunk are overwritten by the next. Outside every
 workspace block, each op allocates fresh arrays.
 
+``linear``, ``time_linear`` and ``segment_linear`` add their biases as one
+(T, width) block, laid out like the output's last two axes, in a single add
+broadcast over the leading axes, and sum a bias gradient over the leading
+axes into such a block before summing it per bias. NumPy runs a broadcast
+whose inner axis is a narrow layer width one row at a time (and buffers it
+when the rows are strided); the block keeps the inner loop long, and each
+output element still gets its bias by the same single addition.
+
 Only the operations the forecaster actually needs are provided, with no
 general broadcasting. Every map along the time axis (moving average, pooling,
 mixing, predictor heads) is one op, ``time_linear``.
@@ -361,8 +369,27 @@ def _merges(x: np.ndarray, lo: int, hi: int) -> bool:
                for (_, s), (n_next, s_next) in zip(dims, dims[1:]))
 
 
+def _add_block(out: np.ndarray, block: np.ndarray) -> None:
+    """``out += block`` for a contiguous (..., T, width) ``out`` and a
+    (T, width) ``block``: one broadcast over the leading axes, whose inner
+    loop runs over the whole block instead of one row of ``width``."""
+    view = out.reshape((-1,) + block.shape)
+    view += block
+
+
+def _lead_sum(g: np.ndarray, rows: int, width: int, ws) -> np.ndarray:
+    """``g`` (..., rows, width) summed over its leading axes into one
+    (rows, width) block, adding whole blocks rather than narrow rows."""
+    return np.sum(g.reshape(-1, rows, width), axis=0,
+                  out=ws.empty((rows, width)))
+
+
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """``x @ weight + bias`` over the trailing dimension of ``x``."""
+    """``x @ weight + bias`` over the trailing dimension of ``x``.
+
+    The bias goes in, and its gradient comes out, through a (T, n_out)
+    block, T the second-to-last length of ``x`` (1 for a vector).
+    """
     n_in, n_out = weight.shape
     if x.shape[-1] != n_in:
         raise ShapeError(f"linear: input trailing dim {x.shape[-1]} != {n_in}")
@@ -370,22 +397,26 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         raise ShapeError(f"linear: bias shape {bias.shape} != ({n_out},)")
     ws = _workspace()
     xv = x.values
+    rows = xv.shape[-2] if xv.ndim > 1 else 1
     out_vals = np.matmul(xv, weight.values,
                          out=ws.empty(xv.shape[:-1] + (n_out,)))
     if bias is not None:
-        out_vals += bias.values
+        block = ws.empty((rows, n_out))
+        block[...] = bias.values
+        _add_block(out_vals, block)
 
     def bwd(g):
-        g2 = g.reshape(-1, n_out)
         if x.requires_grad:
             x._accumulate(np.matmul(g, weight.values.T,
                                     out=ws.empty(xv.shape)), owned=True, ws=ws)
         if weight.requires_grad:
-            weight._accumulate(np.matmul(xv.reshape(-1, n_in).T, g2,
+            weight._accumulate(np.matmul(xv.reshape(-1, n_in).T,
+                                         g.reshape(-1, n_out),
                                          out=ws.empty((n_in, n_out))),
                                owned=True, ws=ws)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(np.sum(g2, axis=0, out=ws.empty((n_out,))),
+            bias._accumulate(np.sum(_lead_sum(g, rows, n_out, ws), axis=0,
+                                    out=ws.empty((n_out,))),
                              owned=True, ws=ws)
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
@@ -446,6 +477,9 @@ def time_linear(x: Tensor, a, bias: Optional[Tensor] = None,
     map or a predictor head) or a constant array, such as the integer count
     matrices of the averaging helpers below, which pass their divisor as
     ``denom``.
+
+    The bias, one value per output step, goes in, and its gradient comes
+    out, through a (T', channels) block holding each value along its row.
     """
     learned = isinstance(a, Tensor)
     av = a.values if learned else a
@@ -461,8 +495,11 @@ def time_linear(x: Tensor, a, bias: Optional[Tensor] = None,
                          out=ws.empty(xv.shape[:-2] + (t_out, xv.shape[-1])))
     if denom != 1.0:
         out_vals /= denom
+    width = xv.shape[-1]
     if bias is not None:
-        out_vals += bias.values[:, None]
+        block = ws.empty((t_out, width))
+        block[...] = bias.values[:, None]
+        _add_block(out_vals, block)
     other = tuple(i for i in range(xv.ndim) if i != xv.ndim - 2)
 
     def bwd(g):
@@ -477,7 +514,8 @@ def time_linear(x: Tensor, a, bias: Optional[Tensor] = None,
                 ga /= denom
             a._accumulate(ga, owned=True, ws=ws)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(np.sum(g, axis=other, out=ws.empty((t_out,))),
+            bias._accumulate(np.sum(_lead_sum(g, t_out, width, ws), axis=1,
+                                    out=ws.empty((t_out,))),
                              owned=True, ws=ws)
 
     inputs = (x,) + ((a,) if learned else ())
@@ -497,6 +535,10 @@ def segment_linear(x: Tensor, weights: Sequence[Tensor],
 
     The time axis (second-to-last) of ``x`` is cut into consecutive segments
     of ``lengths``; segment m maps to ``x_m @ weights[m] + biases[m]``.
+
+    The biases go in, and their gradients come out, through one (ΣT, n_out)
+    block holding ``biases[m]`` in segment m's rows. Weight m's gradient is
+    ``x_mᵀ @ g_m`` per window, one batched matmul, summed over the windows.
     """
     xv = x.values
     n_in, n_out = weights[0].shape
@@ -509,13 +551,14 @@ def segment_linear(x: Tensor, weights: Sequence[Tensor],
                          f"{[w.shape for w in weights]}, biases "
                          f"{[b.shape for b in biases]}")
     bounds = _bounds(lengths)
+    rows = bounds[-1][1]
     ws = _workspace()
     out_vals = ws.empty(xv.shape[:-1] + (n_out,))
+    block = ws.empty((rows, n_out))
     for w, b, (lo, hi) in zip(weights, biases, bounds):
-        seg = out_vals[..., lo:hi, :]
-        np.matmul(xv[..., lo:hi, :], w.values, out=seg)
-        seg += b.values
-    lead = tuple(range(xv.ndim - 1))
+        np.matmul(xv[..., lo:hi, :], w.values, out=out_vals[..., lo:hi, :])
+        block[lo:hi] = b.values
+    _add_block(out_vals, block)
 
     def bwd(g):
         if x.requires_grad:
@@ -523,13 +566,19 @@ def segment_linear(x: Tensor, weights: Sequence[Tensor],
             for w, (lo, hi) in zip(weights, bounds):
                 np.matmul(g[..., lo:hi, :], w.values.T, out=gx[..., lo:hi, :])
             x._accumulate(gx, owned=True, ws=ws)
+        x3, g3 = xv.reshape(-1, rows, n_in), g.reshape(-1, rows, n_out)
+        per_window = ws.empty((x3.shape[0], n_in, n_out))
+        g_block = _lead_sum(g, rows, n_out, ws)
         for w, b, (lo, hi) in zip(weights, biases, bounds):
-            gs = g[..., lo:hi, :]
             if w.requires_grad:
-                w._accumulate(_tensordot(xv[..., lo:hi, :], gs, lead, ws),
+                np.matmul(x3[:, lo:hi].transpose(0, 2, 1), g3[:, lo:hi],
+                          out=per_window)
+                w._accumulate(np.sum(per_window, axis=0,
+                                     out=ws.empty((n_in, n_out))),
                               owned=True, ws=ws)
             if b.requires_grad:
-                b._accumulate(np.sum(gs, axis=lead, out=ws.empty((n_out,))),
+                b._accumulate(np.sum(g_block[lo:hi], axis=0,
+                                     out=ws.empty((n_out,))),
                               owned=True, ws=ws)
 
     return _make(out_vals, (x, *weights, *biases), bwd, "segment_linear", ws)

@@ -12,10 +12,10 @@ failure (some assets failed, others completed).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import subprocess
 import sys
+import typing
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -95,6 +95,22 @@ class RunConfig:
                            seed=self.seed)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# what each RunConfig field type accepts, and its name in error messages;
+# a float field also takes an int
+_FITS = {
+    str: ("a string", lambda v: isinstance(v, str)),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    int: ("an integer", _is_int),
+    float: ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    list[int]: ("a list of integers",
+                lambda v: isinstance(v, list) and all(map(_is_int, v))),
+}
+
+
 def load_run_config(path, overrides, seed=None, out=None) -> RunConfig:
     raw = {}
     if path:
@@ -102,20 +118,29 @@ def load_run_config(path, overrides, seed=None, out=None) -> RunConfig:
             raw = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ValidationFailure(f"cannot read config {path}: {exc}") from exc
-    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
+        if not isinstance(raw, dict):
+            raise ValidationFailure(f"config {path} is not a JSON object")
+    types = typing.get_type_hints(RunConfig)
     for item in overrides or []:
         if "=" not in item:
             raise ValidationFailure(f"--set expects key=value, got '{item}'")
         key, value = item.split("=", 1)
-        if key not in fields:
+        if key not in types:
             raise ValidationFailure(f"unknown config key '{key}'")
         try:
             raw[key] = json.loads(value)
         except json.JSONDecodeError:
             raw[key] = value
-    unknown = set(raw) - set(fields)
+        if types[key] is str and not isinstance(raw[key], str):
+            raw[key] = value    # a path such as out_dir=2024 stays text
+    unknown = set(raw) - set(types)
     if unknown:
         raise ValidationFailure(f"unknown config keys: {sorted(unknown)}")
+    for key, value in raw.items():
+        want, fits = _FITS[types[key]]
+        if not fits(value):
+            raise ValidationFailure(f"config key '{key}' must be {want}, "
+                                    f"got {value!r}")
     config = RunConfig(**raw)
     if seed is not None:
         config.seed = seed

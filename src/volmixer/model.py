@@ -9,6 +9,7 @@ along channels and is shared across time.
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -23,7 +24,7 @@ from volmixer.autodiff import Tensor
 from volmixer.multiscale import ConfigError, build_multiscale, series_decomp
 
 _MAGIC = b"VOLMIXCK"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2     # 2 adds the payload's sha256; 1 is still read
 _STD_FLOOR = 1e-8
 EVAL_BATCH = 256    # windows per forward-only call when scoring a split
 # bytes of the widest activation of one chunk of a forward-only pass: a chunk
@@ -323,14 +324,17 @@ class TimeMixerModel:
     # -- checkpointing ------------------------------------------------------
 
     def save(self, path) -> None:
-        """Write a versioned checkpoint: JSON header, then ``flat`` as LE f8."""
+        """Write a versioned checkpoint: JSON header, then ``flat`` as LE f8.
+        The header holds the payload's sha256."""
+        payload = self.flat.astype("<f8").tobytes()
         header = json.dumps({
             "format_version": _FORMAT_VERSION,
             "config": asdict(self.config),
             "manifest": _manifest(self.config),
+            "payload_sha256": hashlib.sha256(payload).hexdigest(),
         }).encode()
         write_atomic(path, b"".join([_MAGIC, struct.pack("<I", len(header)),
-                                     header, self.flat.astype("<f8").tobytes()]))
+                                     header, payload]))
 
     @classmethod
     def load(cls, path) -> "TimeMixerModel":
@@ -339,8 +343,9 @@ class TimeMixerModel:
         Raises ``CheckpointError`` for any malformed file: bad magic, a
         truncated or undecodable header, missing or ill-typed header fields,
         an unsupported version, a manifest that differs from the config's
-        layout, a payload of the wrong length and a parameter holding NaN or
-        infinity.
+        layout, a payload of the wrong length, a parameter holding NaN or
+        infinity and, from version 2 on, a payload whose sha256 differs from
+        the header's. Version 1 files, which carry no hash, are still read.
         """
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -364,7 +369,7 @@ class TimeMixerModel:
             raise ValueError(f"header of {hlen} bytes is cut off after "
                              f"{len(blob) - 12}")
         header = json.loads(blob[12:12 + hlen])
-        if header["format_version"] != _FORMAT_VERSION:
+        if header["format_version"] not in (1, _FORMAT_VERSION):
             raise ValueError(f"unsupported checkpoint version "
                              f"{header['format_version']}")
         config = ModelConfig(**header["config"])
@@ -384,4 +389,8 @@ class TimeMixerModel:
         for name, tensor in model.params.items():
             if not np.isfinite(tensor.values).all():
                 raise ValueError(f"{name} holds NaN or infinity")
+        # after the scan above, which names a parameter holding NaN
+        if (header["format_version"] > 1 and header["payload_sha256"]
+                != hashlib.sha256(payload).hexdigest()):
+            raise ValueError("payload does not match its sha256")
         return model

@@ -527,6 +527,113 @@ class TestSegmentLinear:
                               [3, 2])
 
 
+def strided_bias_outputs(x, weights, biases, lengths, a, a_bias):
+    """``segment_linear``, ``linear`` (first segment's weight and bias) and
+    ``time_linear`` outputs, each bias added per segment as a narrow strided
+    row: the expressions the ops used before they added a (T, width) block."""
+    seg_out = np.empty(x.shape[:-1] + biases[0].shape)
+    for w, b, (lo, hi) in zip(weights, biases, ad._bounds(lengths)):
+        part = seg_out[..., lo:hi, :]
+        np.matmul(x[..., lo:hi, :], w, out=part)
+        part += b
+    lin_out = np.matmul(x, weights[0])
+    lin_out += biases[0]
+    time_out = np.matmul(a.T, x)
+    time_out += a_bias[:, None]
+    return seg_out, lin_out, time_out
+
+
+def bias_ops(x, weights, biases, lengths, a, a_bias, pool):
+    """The three ops of ``strided_bias_outputs`` on leaves, and the leaves'
+    gradients for the loss mean(out * up) of each output, ``up`` one fixed
+    random array per op. Recorded on a plain tape inside ``pool``. Leaves
+    are numbered x, weights, biases, a, a_bias."""
+    rng = np.random.default_rng(11)
+    leaves = [Tensor(v, requires_grad=True)
+              for v in (x, *weights, *biases, a, a_bias)]
+    xt, a_t, ab_t = leaves[0], leaves[-2], leaves[-1]
+    wt, bt = leaves[1:1 + len(weights)], leaves[1 + len(weights):-2]
+    outs, ups, grads = [], [], []
+    for op in (lambda: ad.segment_linear(xt, wt, bt, lengths),
+               lambda: ad.linear(xt, wt[0], bt[0]),
+               lambda: ad.time_linear(xt, a_t, ab_t)):
+        for t in leaves:
+            t.zero_grad()
+        with pool, Tape() as tape:
+            out = op()
+            up = rng.normal(size=out.shape)
+            loss = ad.mean(ad.multiply(out, Tensor(up)))
+        ad.backward(loss, tape)
+        outs.append(out.values.copy())
+        ups.append(up * (1.0 / up.size))
+        grads.append({i: t.grad.copy() for i, t in enumerate(leaves)
+                      if t.grad is not None})
+    return outs, ups, grads
+
+
+class TestBiasBlocks:
+    """``linear``, ``time_linear`` and ``segment_linear`` add their biases as
+    one (T, width) block and sum bias gradients over one such block."""
+
+    def test_outputs_byte_equal_to_strided_bias_add_at_sweep_shapes(self, rng):
+        lengths, d, h = [32, 16, 8], 4, 8       # the sweep model's ladder
+        x = rng.normal(size=(128, sum(lengths), d))
+        weights = [rng.normal(size=(d, h)) for _ in lengths]
+        biases = [rng.normal(size=h) for _ in lengths]
+        a, a_bias = rng.normal(size=(56, 56)), rng.normal(size=56)
+        for pool in (contextlib.nullcontext(), Workspace()):
+            outs, _, _ = bias_ops(x, weights, biases, lengths, a, a_bias,
+                                     pool)
+            want = strided_bias_outputs(x, weights, biases, lengths, a,
+                                        a_bias)
+            for got, ref in zip(outs, want):
+                assert got.tobytes() == ref.tobytes()
+
+    @PROPERTY
+    @given(lead=st.lists(st.integers(1, 3), max_size=2),
+           lengths=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+           n_in=st.integers(1, 8), n_out=st.integers(1, 8),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_gradients_match_tensordot_and_sum(self, lead, lengths, n_in,
+                                               n_out, seed):
+        rng = np.random.default_rng(seed)
+        total, lead = sum(lengths), tuple(lead)
+        x = rng.normal(size=lead + (total, n_in))
+        weights = [rng.normal(size=(n_in, n_out)) for _ in lengths]
+        biases = [rng.normal(size=n_out) for _ in lengths]
+        a, a_bias = rng.normal(size=(total, n_out)), rng.normal(size=n_out)
+        outs, ups, grads = bias_ops(
+            x, weights, biases, lengths, a, a_bias, contextlib.nullcontext())
+        for got, ref in zip(outs, strided_bias_outputs(
+                x, weights, biases, lengths, a, a_bias)):
+            assert got.tobytes() == ref.tobytes()
+
+        keep = tuple(range(x.ndim - 1))     # every axis but the width
+        other = keep[:-1] + (x.ndim - 1,)   # every axis but time
+        seg_up, lin_up, time_up = ups
+        n = len(lengths)                    # leaf numbers: see ``bias_ops``
+        want = [{}, {}, {}]
+        for m, (lo, hi) in enumerate(ad._bounds(lengths)):
+            xs, gs = x[..., lo:hi, :], seg_up[..., lo:hi, :]
+            want[0][1 + m] = np.tensordot(xs, gs, axes=(keep, keep))
+            want[0][1 + n + m] = np.sum(gs, axis=keep)
+        want[1][1] = np.tensordot(x, lin_up, axes=(keep, keep))
+        want[1][1 + n] = np.sum(lin_up, axis=keep)
+        want[2][1 + 2 * n] = np.tensordot(x, time_up, axes=(other, other))
+        want[2][2 + 2 * n] = np.sum(time_up, axis=other)
+        for got, ref in zip(grads, want):
+            for key, value in ref.items():
+                assert (np.max(np.abs(got[key] - value))
+                        <= 1e-12 * np.abs(value).max())
+
+        _, _, pooled = bias_ops(x, weights, biases, lengths, a, a_bias,
+                                   Workspace())
+        for plain, pool in zip(grads, pooled):
+            assert plain.keys() == pool.keys()
+            for key in plain:
+                assert plain[key].tobytes() == pool[key].tobytes()
+
+
 class TestCascade:
     @staticmethod
     def chains(x, up_base, up_w, up_b, down_base, down_w, down_b, lengths):

@@ -133,6 +133,36 @@ class TestConfig:
         assert loaded.d_model == 16
         assert loaded.horizons == [4, 8]
 
+    @pytest.mark.parametrize("key, text, want", [
+        ("lookback", "abc", "an integer"),
+        ("lookback", "true", "an integer"),
+        ("batch_size", "2.5", "an integer"),
+        ("horizons", "12", "a list of integers"),
+        ("horizons", '[12,"x"]', "a list of integers"),
+        ("learning_rate", "abc", "a number"),
+        ("covariates", "1", "true or false"),
+    ])
+    @pytest.mark.parametrize("source", ["set", "file"])
+    def test_wrongly_typed_value_is_validation_error(
+            self, workspace, capsys, key, text, want, source):
+        tmp, config, _ = workspace
+        extra = ["--set", f"{key}={text}"]
+        if source == "file":
+            raw = json.loads(config.read_text())
+            raw[key] = text if text == "abc" else json.loads(text)
+            config.write_text(json.dumps(raw))
+            extra = []
+        capsys.readouterr()
+        assert run_cli(config, "prepare", *extra) == 1
+        assert f"config key '{key}' must be {want}" in capsys.readouterr().err
+        assert not (tmp / "data").exists()
+
+    def test_int_taken_for_float_and_text_for_path(self, workspace):
+        _, config, _ = workspace
+        loaded = cli.load_run_config(config, ["learning_rate=1",
+                                              "out_dir=2024"])
+        assert loaded.learning_rate == 1 and loaded.out_dir == "2024"
+
     @pytest.mark.parametrize("covariates", [False, True])
     def test_channels_follow_feature_matrix(self, workspace, covariates):
         _, config, _ = workspace

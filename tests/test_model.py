@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -550,7 +551,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("edit", [
         lambda h: h.pop("config"),
-        lambda h: h.update(format_version=2),
+        lambda h: h.update(format_version=3),
         lambda h: h.update(config=[1]),
         lambda h: h["manifest"][1].update(offset=0),
         lambda h: h["manifest"][0].update(shape=3),
@@ -576,6 +577,39 @@ class TestCheckpoint:
         blob[12 + hlen:] = payload.tobytes()
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match=name):
+            TimeMixerModel.load(path)
+
+    def test_header_holds_payload_sha256(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        TimeMixerModel(TINY).save(path)
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12:12 + hlen])
+        assert header["format_version"] == 2
+        assert header["payload_sha256"] == \
+            hashlib.sha256(blob[12 + hlen:]).hexdigest()
+
+    @pytest.mark.parametrize("bit", [0, 51])
+    @pytest.mark.parametrize("index", [0, -1])
+    def test_flipped_payload_bit_is_checkpoint_error(self, tmp_path, bit,
+                                                     index):
+        path = tmp_path / "model.ckpt"
+        TimeMixerModel(TINY).save(path)
+        blob = bytearray(path.read_bytes())
+        (hlen,) = struct.unpack("<I", blob[8:12])
+        payload = np.frombuffer(blob, dtype="<u8", offset=12 + hlen).copy()
+        payload[index] ^= np.uint64(1 << bit)       # a mantissa bit
+        assert np.isfinite(payload.view("<f8")).all()
+        blob[12 + hlen:] = payload.tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="sha256"):
+            TimeMixerModel.load(path)
+
+    def test_version_2_without_hash_is_checkpoint_error(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        TimeMixerModel(TINY).save(path)
+        edit_header(path, lambda h: h.pop("payload_sha256"))
+        with pytest.raises(CheckpointError, match="payload_sha256"):
             TimeMixerModel.load(path)
 
     def test_bad_magic(self, tmp_path):
