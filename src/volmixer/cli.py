@@ -115,8 +115,8 @@ def load_run_config(path, overrides, seed=None, out=None) -> RunConfig:
     raw = {}
     if path:
         try:
-            raw = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValidationFailure(f"cannot read config {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ValidationFailure(f"config {path} is not a JSON object")
@@ -339,6 +339,18 @@ def cmd_report(config: RunConfig) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+# each subcommand's handler, given the validated config and the parsed
+# arguments; a lambda looks its ``cmd_*`` function up when it is called
+COMMANDS = {
+    "fetch": lambda config, args: cmd_fetch(config, fixtures=args.fixtures),
+    "prepare": lambda config, _: cmd_prepare(config),
+    "train": lambda config, _: cmd_train(config),
+    "eval": lambda config, _: cmd_eval(config),
+    "run": lambda config, _: cmd_run(config),
+    "report": lambda config, _: cmd_report(config),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="volmixer",
@@ -351,9 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--fixtures",
                         help="directory of recorded JSON responses; forces "
                              "offline mode for 'fetch'")
-    parser.add_argument("command",
-                        choices=["fetch", "prepare", "train", "eval", "run",
-                                 "report"])
+    parser.add_argument("command", choices=COMMANDS)
     return parser
 
 
@@ -363,17 +373,7 @@ def main(argv=None) -> int:
         config = load_run_config(args.config, args.overrides,
                                  seed=args.seed, out=args.out)
         config.validate()
-        if args.command == "fetch":
-            return cmd_fetch(config, fixtures=args.fixtures)
-        if args.command == "prepare":
-            return cmd_prepare(config)
-        if args.command == "train":
-            return cmd_train(config)
-        if args.command == "eval":
-            return cmd_eval(config)
-        if args.command == "run":
-            return cmd_run(config)
-        return cmd_report(config)
+        return COMMANDS[args.command](config, args)
     except (ValidationFailure, market_data.ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

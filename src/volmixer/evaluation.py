@@ -64,30 +64,26 @@ def rmse(pred, target) -> float:
     return math.sqrt(mse(pred, target))
 
 
-def baseline_persistence(lookback: np.ndarray, horizon: int) -> np.ndarray:
-    """Repeat the last observed target value across the horizon."""
+def _targets(lookback: np.ndarray) -> np.ndarray:
+    """Channel 0 (the target) of a nonempty (N, P, C) batch of lookback
+    windows, as (N, P)."""
     lookback = np.asarray(lookback, dtype=np.float64)
-    if lookback.size == 0:
-        raise EvaluationError("empty lookback")
-    if lookback.ndim == 1:
-        return np.full(horizon, lookback[-1])
-    # (N, P) or (N, P, C): persist channel 0
-    if lookback.ndim == 3:
-        lookback = lookback[..., 0]
-    return np.repeat(lookback[:, -1:], horizon, axis=1)
+    if lookback.ndim != 3 or lookback.size == 0:
+        raise EvaluationError(f"expected a nonempty (N, P, C) batch of "
+                              f"lookback windows, got {lookback.shape}")
+    return lookback[..., 0]
+
+
+def baseline_persistence(lookback: np.ndarray, horizon: int) -> np.ndarray:
+    """(N, P, C) -> (N, F): each window's last target value, repeated."""
+    return np.repeat(_targets(lookback)[:, -1:], horizon, axis=1)
 
 
 def baseline_window_mean(lookback: np.ndarray, horizon: int,
                          window: int = 21) -> np.ndarray:
-    """Repeat the mean of the last ``window`` target values."""
-    lookback = np.asarray(lookback, dtype=np.float64)
-    if lookback.size == 0:
-        raise EvaluationError("empty lookback")
-    if lookback.ndim == 1:
-        return np.full(horizon, lookback[-window:].mean())
-    if lookback.ndim == 3:
-        lookback = lookback[..., 0]
-    means = lookback[:, -window:].mean(axis=1, keepdims=True)
+    """(N, P, C) -> (N, F): the mean of each window's last ``window``
+    target values, repeated."""
+    means = _targets(lookback)[:, -window:].mean(axis=1, keepdims=True)
     return np.repeat(means, horizon, axis=1)
 
 

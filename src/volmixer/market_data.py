@@ -178,12 +178,13 @@ class AssetRoster:
     @classmethod
     def from_json(cls, path) -> "AssetRoster":
         """Read a JSON list of ``{"ticker", "start", "end"}`` objects with ISO
-        dates; other keys are ignored. A malformed roster raises
-        ``ValidationError`` naming the entry and the problem."""
+        dates; other keys are ignored. A file that is not UTF-8 JSON and a
+        malformed roster raise ``ValidationError`` naming the problem."""
         try:
-            raw = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: roster is not JSON: {exc}") from exc
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValidationError(f"{path}: roster is not JSON text: "
+                                  f"{exc}") from exc
         if not isinstance(raw, list):
             raise ValidationError(f"{path}: roster is not a JSON list")
         entries = []
@@ -412,32 +413,28 @@ def rolling_volatility(returns, window: int = DEFAULT_VOL_WINDOW,
     return sigma
 
 
-def volatility_series(series: OhlcvSeries, window: int = DEFAULT_VOL_WINDOW,
-                      periods_per_year: int = TRADING_DAYS_PER_YEAR
-                      ) -> VolatilitySeries:
-    returns = compute_log_returns(series.close)
-    sigma = rolling_volatility(returns, window, periods_per_year)
-    return VolatilitySeries(ticker=series.ticker,
-                            dates=series.days[window:].tolist(), sigma=sigma)
+def volatility_series(series: OhlcvSeries) -> VolatilitySeries:
+    """Annualized 21-day volatility of the closes, dated by window end."""
+    sigma = rolling_volatility(compute_log_returns(series.close))
+    return VolatilitySeries(series.ticker,
+                            series.days[DEFAULT_VOL_WINDOW:].tolist(), sigma)
 
 
-def feature_matrix(series: OhlcvSeries, window: int = DEFAULT_VOL_WINDOW,
-                   covariates: bool = False,
-                   periods_per_year: int = TRADING_DAYS_PER_YEAR
+def feature_matrix(series: OhlcvSeries, covariates: bool = False
                    ) -> tuple[np.ndarray, list[date]]:
     """Model input channels aligned on volatility dates.
 
-    Channel 0 is always the annualized volatility (the forecast target).
-    With ``covariates`` the daily log return and log-volume join as extra
-    channels.
+    Channel 0 is always the 21-day annualized volatility (the forecast
+    target). With ``covariates`` the daily log return and log-volume join
+    as extra channels.
     """
-    vol = volatility_series(series, window, periods_per_year)
-    cols = [vol.sigma]
+    returns = compute_log_returns(series.close)
+    cols = [rolling_volatility(returns)]
     if covariates:
-        returns = compute_log_returns(series.close)
-        cols.append(returns[window - 1:])
-        cols.append(np.log1p(series.volume[window:]))
-    return np.stack(cols, axis=-1), vol.dates
+        cols.append(returns[DEFAULT_VOL_WINDOW - 1:])
+        cols.append(np.log1p(series.volume[DEFAULT_VOL_WINDOW:]))
+    return (np.stack(cols, axis=-1),
+            series.days[DEFAULT_VOL_WINDOW:].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +452,6 @@ class WindowedDataset:
     y: np.ndarray
     lookback: int
     horizon: int
-    channels: int
     train_range: Optional[tuple[int, int]] = None
     val_range: Optional[tuple[int, int]] = None
     test_range: Optional[tuple[int, int]] = None
@@ -484,12 +480,11 @@ class WindowedDataset:
 
 
 def make_windows(values: np.ndarray, lookback: int, horizon: int,
-                 stride: int = 1, dates: Optional[list[date]] = None
-                 ) -> WindowedDataset:
+                 dates: Optional[list[date]] = None) -> WindowedDataset:
     """Slide a (lookback, horizon) window over a (T, C) value matrix.
 
-    Sample i pairs x = values[i : i+P] with y = values[i+P : i+P+F, 0],
-    stepping starts by ``stride``.
+    Sample i pairs x = values[i : i+P] with y = values[i+P : i+P+F, 0], for
+    every start i = 0 .. T-P-F; a 1-D series is one channel.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim == 1:
@@ -498,14 +493,11 @@ def make_windows(values: np.ndarray, lookback: int, horizon: int,
     if total < lookback + horizon:
         raise LengthError(f"series length {total} < lookback {lookback} + "
                           f"horizon {horizon}")
-    if stride < 1:
-        raise ValidationError(f"stride must be >= 1, got {stride}")
     spans = np.lib.stride_tricks.sliding_window_view(
-        values, lookback + horizon, axis=0)[::stride]     # (N, C, P + F)
+        values, lookback + horizon, axis=0)               # (N, C, P + F)
     x = spans[:, :, :lookback].transpose(0, 2, 1).copy()
     y = spans[:, 0, lookback:].copy()
     return WindowedDataset(x=x, y=y, lookback=lookback, horizon=horizon,
-                           channels=values.shape[1],
                            dates=list(dates) if dates else [])
 
 
@@ -517,8 +509,7 @@ def split_chronological(dataset: WindowedDataset, test_fraction: float = 0.2,
     sized to 10% of the training set. ``gap`` samples are discarded between
     consecutive splits so that no earlier split's target overlaps a later
     split's lookback; it defaults to lookback + horizon - 1, the smallest
-    leak-proof spacing for stride-1 windows. Pass ``gap=0`` for plain
-    contiguous arithmetic.
+    leak-proof spacing. Pass ``gap=0`` for plain contiguous arithmetic.
     """
     n = len(dataset)
     if not 0 < test_fraction < 1:

@@ -50,6 +50,10 @@ class ModelConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for key in ("num_scales", "seed"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0, got "
+                                  f"{getattr(self, key)}")
         if self.lookback < 2 ** self.num_scales * 2:
             raise ConfigError(
                 f"lookback {self.lookback} too short for {self.num_scales} "
@@ -76,33 +80,20 @@ class NormStats:
 
 
 def instance_normalize(x: np.ndarray) -> tuple[np.ndarray, NormStats]:
-    """Standardize each window per channel (population divisor).
-
-    Accepts (P, C) or (B, P, C); returns the same shape plus the stats
-    needed to invert the transform. Constant channels get a floored std so
-    the output is simply zero there.
-    """
+    """Standardize each window of a (B, P, C) batch per channel (population
+    divisor), returning the stats that invert it. Constant channels get a
+    floored std, so the output is simply zero there."""
     x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = x[None]
     mu = x.mean(axis=1)
     sd = np.maximum(x.std(axis=1), _STD_FLOOR)
-    out = (x - mu[:, None, :]) / sd[:, None, :]
-    if squeeze:
-        out = out[0]
-    return out, NormStats(mean=mu, std=sd)
+    return (x - mu[:, None, :]) / sd[:, None, :], NormStats(mean=mu, std=sd)
 
 
 def denormalize(y: np.ndarray, stats: NormStats) -> np.ndarray:
-    """Invert instance normalization of the forecast, using channel 0 (the
-    volatility target)."""
+    """Invert instance normalization of a (B, F) forecast, using channel 0
+    (the volatility target)."""
     y = np.asarray(y, dtype=np.float64)
-    squeeze = y.ndim == 1
-    if squeeze:
-        y = y[None]
-    out = y * stats.std[:, 0:1] + stats.mean[:, 0:1]
-    return out[0] if squeeze else out
+    return y * stats.std[:, 0:1] + stats.mean[:, 0:1]
 
 
 def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -312,14 +303,11 @@ class TimeMixerModel:
         return out
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Predict from raw windows; (P, C) or (B, P, C) -> (F,) or (B, F)."""
+        """Forecast raw windows: (B, P, C) -> (B, F), or (P, C) -> (F,)."""
         x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 2
-        if squeeze:
-            x = x[None]
-        x_norm, stats = instance_normalize(x)
+        x_norm, stats = instance_normalize(x[None] if x.ndim == 2 else x)
         out = denormalize(self.predict_normalized(x_norm), stats)
-        return out[0] if squeeze else out
+        return out[0] if x.ndim == 2 else out
 
     # -- checkpointing ------------------------------------------------------
 

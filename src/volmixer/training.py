@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -40,8 +41,11 @@ class TrainConfig:
     def validate(self) -> None:
         if self.batch_size < 1 or self.max_epochs < 1:
             raise TrainingError("batch_size and max_epochs must be >= 1")
-        if self.learning_rate < 0:
-            raise TrainingError("learning_rate must be >= 0")
+        if not 0 <= self.learning_rate < math.inf:    # NaN fails too
+            raise TrainingError(f"learning_rate must be finite and >= 0, "
+                                f"got {self.learning_rate}")
+        if self.seed < 0:
+            raise TrainingError(f"seed must be >= 0, got {self.seed}")
         if self.patience < 0 or self.patience > self.max_epochs:
             raise TrainingError("need 0 <= patience <= max_epochs")
 

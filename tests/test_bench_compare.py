@@ -97,3 +97,61 @@ def test_claim_on_a_lower_is_better_metric(tmp_path):
 def test_claim_rejects_unpaired_files(tmp_path):
     done = claim(tmp_path, PARENT, PARENT[:9])
     assert done.returncode == 2 and "equally many runs" in done.stderr
+
+
+def no_regress(tmp_path, parent, change):
+    """Run ``--no-regress`` on two files of runs, each given as a list of
+    (job_s value, failed operations, correct) triples."""
+    paths = []
+    for name, runs in (("parent", parent), ("change", change)):
+        paths.append(tmp_path / f"{name}.jsonl")
+        paths[-1].write_text("".join(
+            json.dumps({"correct": ok, "attempted": 10, "failed": failed,
+                        "metrics": {"job_s": {"value": v, "unit": "s"}}})
+            + "\n" for v, failed, ok in runs))
+    return subprocess.run([sys.executable, str(SCRIPT), "--no-regress",
+                           *map(str, paths)],
+                          capture_output=True, text=True, timeout=60)
+
+
+def runs(values, failed=0, correct=True):
+    return [(v, failed, correct) for v in values]
+
+
+STEADY = [2.0, 2.02, 2.04, 2.06, 2.08, 1.98, 2.0, 2.02, 2.04, 2.06]
+NOISY = [1.0, 1.5, 2.0, 2.5, 3.0, 1.0, 1.5, 2.0, 2.5, 3.0]   # IQR 50 %
+
+
+def job_line(stdout):
+    return next(line for line in stdout.splitlines() if "job_s:" in line)
+
+
+@pytest.mark.parametrize("parent, change, verdict, code", [
+    (STEADY, [v * 1.1 for v in STEADY], "ok", 0),           # 10 % slower
+    (STEADY, [v * 1.3 for v in STEADY], "REGRESSED", 1),    # bound 25 %
+    (NOISY, [v * 1.1 for v in NOISY], "UNRESOLVED", 0),
+    (NOISY, [v * 0.3 for v in NOISY], "ok", 0),     # every run beats every
+])
+def test_no_regress_verdicts(tmp_path, parent, change, verdict, code):
+    done = no_regress(tmp_path, runs(parent), runs(change))
+    assert done.returncode == code, done.stdout + done.stderr
+    line = job_line(done.stdout)
+    assert line.split()[0] == verdict, line
+    assert "parent quartiles" in line and "bound 25%" in line
+
+
+def test_no_regress_prints_medians_and_relative_change(tmp_path):
+    done = no_regress(tmp_path, runs(NOISY), runs([v * 1.1 for v in NOISY]))
+    assert ("job_s: median 2 -> 2.2 s (10.0% worse), parent quartiles "
+            "1.5-2.5 (IQR 50.0% of the median)") in job_line(done.stdout)
+
+
+@pytest.mark.parametrize("change", [
+    runs(STEADY[:9]) + runs(STEADY[9:], correct=False),
+    runs(STEADY[:9]) + runs(STEADY[9:], failed=1),
+], ids=["not_correct", "more_failures"])
+def test_no_regress_fails_on_broken_or_failing_runs(tmp_path, change):
+    done = no_regress(tmp_path, runs(STEADY), change)
+    assert done.returncode == 1, done.stdout
+    assert done.stdout.splitlines()[0].startswith("REGRESSED")
+    assert job_line(done.stdout).startswith("ok")

@@ -212,6 +212,37 @@ class TestConfig:
         assert run_cli(config, "fetch", "--fixtures", str(fixtures)) == 1
         assert problem in capsys.readouterr().err
 
+    def test_non_utf8_roster_is_validation_error(self, workspace, capsys):
+        tmp, config, fixtures = workspace
+        (tmp / "roster.json").write_bytes(b"\xff[]")
+        capsys.readouterr()
+        assert run_cli(config, "fetch", "--fixtures", str(fixtures)) == 1
+        err = capsys.readouterr().err
+        assert f"{tmp / 'roster.json'}: roster is not JSON text" in err
+
+    def test_non_utf8_config_is_validation_error(self, workspace, capsys):
+        tmp, config, _ = workspace
+        config.write_bytes(b"\xff" + config.read_bytes())
+        capsys.readouterr()
+        assert run_cli(config, "prepare") == 1
+        assert f"cannot read config {config}" in capsys.readouterr().err
+        assert not (tmp / "data").exists()
+
+    @pytest.mark.parametrize("extra, key", [
+        (["--set", "num_scales=-1"], "num_scales"),
+        (["--seed", "-1"], "seed"),
+        (["--set", "learning_rate=NaN"], "learning_rate"),
+        (["--set", "learning_rate=Infinity"], "learning_rate"),
+    ], ids=["negative_scales", "negative_seed", "nan_rate", "infinite_rate"])
+    def test_value_that_would_fail_every_pair_is_validation_error(
+            self, workspace, capsys, extra, key):
+        tmp, config, fixtures = workspace
+        run_cli(config, "fetch", "--fixtures", str(fixtures))
+        capsys.readouterr()
+        assert run_cli(config, "run", *extra) == 1
+        assert f"error: {key} must be" in capsys.readouterr().err
+        assert not (tmp / "out").exists()
+
     def test_missing_roster(self, tmp_path):
         config = tmp_path / "c.json"
         config.write_text(json.dumps({"roster": str(tmp_path / "nope.json")}))
@@ -438,3 +469,15 @@ class TestPipeline:
     def test_run_without_cached_data(self, workspace):
         tmp, config, _ = workspace
         assert run_cli(config, "run") == 3
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_main_looks_each_command_up_when_called(workspace, monkeypatch,
+                                                command):
+    # perfbench traces a command by replacing cli.cmd_<name> in place
+    _, config, _ = workspace
+    calls = []
+    monkeypatch.setattr(cli, f"cmd_{command}",
+                        lambda *args, **kwargs: calls.append(args) or 0)
+    assert run_cli(config, command) == 0
+    assert len(calls) == 1

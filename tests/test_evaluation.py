@@ -61,27 +61,28 @@ class TestMetricsRecord:
 
 class TestBaselines:
     def test_persistence_repeats_last_value(self):
-        out = ev.baseline_persistence(np.array([0.1, 0.2, 0.3]), horizon=3)
-        assert out.tolist() == [0.3, 0.3, 0.3]
+        out = ev.baseline_persistence(np.array([[[0.1], [0.2], [0.3]]]),
+                                      horizon=3)
+        assert out.tolist() == [[0.3, 0.3, 0.3]]
 
     def test_persistence_zero_error_on_constant(self):
-        x = np.full((4, 8), 0.5)
+        x = np.full((4, 8, 1), 0.5)
         pred = ev.baseline_persistence(x, horizon=6)
         target = np.full((4, 6), 0.5)
         assert ev.mae(pred, target) == 0.0
 
     def test_persistence_error_grows_linearly_on_ramp(self):
-        lookback = np.arange(10.0)
+        lookback = np.arange(10.0).reshape(1, 10, 1)
         errors = []
         for horizon in (1, 2, 4):
             pred = ev.baseline_persistence(lookback, horizon)
-            target = np.arange(10.0, 10.0 + horizon)
+            target = np.arange(10.0, 10.0 + horizon)[None]
             errors.append(ev.mae(pred, target))
         # ramp of slope 1: MAE = (F + 1) / 2
         assert errors == [1.0, 1.5, 2.5]
 
     def test_window_mean(self):
-        x = np.array([[1.0, 2.0, 3.0, 4.0]])
+        x = np.array([[[1.0], [2.0], [3.0], [4.0]]])
         out = ev.baseline_window_mean(x, horizon=2, window=2)
         assert out.tolist() == [[3.5, 3.5]]
 

@@ -413,7 +413,7 @@ class TestRollingVolatility:
 
     def test_length_contract(self, rng):
         series = series_of(np.exp(rng.normal(0, 0.01, 100)) * 10)
-        vol = md.volatility_series(series, window=21)
+        vol = md.volatility_series(series)
         assert vol.sigma.size == len(series) - 1 - 20
         with pytest.raises(LengthError):
             md.rolling_volatility(np.zeros(5), window=21)
@@ -436,18 +436,14 @@ class TestMakeWindows:
         with pytest.raises(LengthError):
             md.make_windows(np.arange(5.0), lookback=4, horizon=2)
 
-    def test_stride(self):
-        ds = md.make_windows(np.arange(20.0), lookback=4, horizon=2, stride=3)
-        assert len(ds) == math.floor((20 - 4 - 2) / 3) + 1
-
-    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("horizon", [1, 2, 3])
     @pytest.mark.parametrize("channels", [1, 3])
-    def test_matches_list_stack_reference(self, rng, stride, channels):
+    def test_matches_list_stack_reference(self, rng, horizon, channels):
         values = rng.normal(size=(23, channels))
-        ds = md.make_windows(values, lookback=5, horizon=3, stride=stride)
-        starts = range(0, 23 - 5 - 3 + 1, stride)
+        ds = md.make_windows(values, lookback=5, horizon=horizon)
+        starts = range(23 - 5 - horizon + 1)
         x = np.stack([values[i:i + 5] for i in starts])
-        y = np.stack([values[i + 5:i + 8, 0] for i in starts])
+        y = np.stack([values[i + 5:i + 5 + horizon, 0] for i in starts])
         for got, expected in ((ds.x, x), (ds.y, y)):
             assert got.flags.c_contiguous and got.flags.writeable
             assert got.shape == expected.shape

@@ -96,12 +96,12 @@ def reference_forward(model, x):
 
 class TestInstanceNormalize:
     def test_constant_channel_maps_to_zero(self):
-        out, stats = instance_normalize(np.full((10, 1), 3.0))
+        out, stats = instance_normalize(np.full((1, 10, 1), 3.0))
         assert np.all(out == 0.0)
         assert stats.std[0, 0] == 1e-8
 
     def test_two_point_symmetry(self):
-        out, stats = instance_normalize(np.array([[1.0], [3.0]]))
+        out, stats = instance_normalize(np.array([[[1.0], [3.0]]]))
         assert np.allclose(out.ravel(), [-1.0, 1.0])  # population divisor
         assert stats.mean[0, 0] == 2.0
 
@@ -376,6 +376,19 @@ class TestForward:
         model = TimeMixerModel(ModelConfig())
         with pytest.raises(ad.ShapeError):
             model.forward(rng.normal(size=(3, 60, 1)))
+
+    @pytest.mark.parametrize("cfg", [ModelConfig(), ModelConfig(channels=3)],
+                             ids=["default", "C3"])
+    def test_single_window_equals_its_row_of_a_batch(self, cfg):
+        # the one entry point that takes a single (P, C) window
+        model = TimeMixerModel(cfg)
+        rng = np.random.default_rng(cfg.channels)
+        x = rng.normal(0.2, 0.05, (300, cfg.lookback, cfg.channels))
+        batch = model.forward(x)
+        for i in (0, 1, 16, 17, 150, 299):
+            single = model.forward(x[i])
+            assert single.shape == (cfg.horizon,)
+            assert single.tobytes() == batch[i].tobytes(), i
 
     def test_nan_input_raises_numeric_error(self):
         model = TimeMixerModel(ModelConfig())

@@ -3,6 +3,7 @@
 
     python3 tools/bench_compare.py before.json after.json
     python3 tools/bench_compare.py --claim WORKLOAD:METRIC parent.jsonl change.jsonl
+    python3 tools/bench_compare.py --no-regress parent.jsonl change.jsonl
 
 Each file maps a workload name to the JSON object that ``perfbench/run.py``
 prints as its last line (``correct``, ``attempted``, ``failed``,
@@ -20,6 +21,17 @@ quartile ranges, and exits 1 unless the change wins at least nine tenths of
 the pairs (a tie counts for neither side) and its median is better than the
 parent's by more than the parent's interquartile range, or if a change run
 is not correct.
+
+With ``--no-regress``, the two files hold paired runs of one workload in
+the same form. For every end-to-end metric it prints both medians, the
+parent's quartiles and the relative change of the median, with a verdict:
+REGRESSED when the change's median is worse than the parent's by more than
+the metric's bound; UNRESOLVED when the parent's interquartile range,
+relative to its median, is wider than the bound and not every change run
+beats every parent run, so the runs cannot show a change of the bound's
+size; ok otherwise. It exits 1 on a regression, on a change run that is
+not correct and on a larger share of failed operations than the parent's;
+an unresolved metric does not change the exit code.
 """
 
 from __future__ import annotations
@@ -39,6 +51,11 @@ def worse_by(before: float, after: float, better: str) -> float:
     if before == 0:
         return float("inf") if change > 0 else 0.0
     return change / abs(before)
+
+
+def describe(worse: float) -> str:
+    return (f"{worse:.1%} worse" if worse > 0 else
+            f"{-worse:.1%} better" if worse < 0 else "unchanged")
 
 
 def compare(before: dict, after: dict, spec: dict) -> list[tuple[str, bool]]:
@@ -66,10 +83,8 @@ def compare(before: dict, after: dict, spec: dict) -> list[tuple[str, bool]]:
                               f"results", True))
                 continue
             worse = worse_by(a, b, metric["better"])
-            verdict = (f"{worse:.1%} worse" if worse > 0 else
-                       f"{-worse:.1%} better" if worse < 0 else "unchanged")
             lines.append((f"{workload} {name}: {a:.6g} -> {b:.6g} "
-                          f"{metric['unit']} ({verdict}, bound "
+                          f"{metric['unit']} ({describe(worse)}, bound "
                           f"{metric['bound']:.0%})", worse > metric["bound"]))
     return lines
 
@@ -101,6 +116,46 @@ def claim(parent: list[dict], change: list[dict], metric: dict,
             f"pairs and a gap above the parent's IQR)"], held
 
 
+def no_regress(parent: list[dict], change: list[dict],
+               spec: dict) -> list[tuple[str, str]]:
+    """One (verdict, message) pair per check of the ``change`` runs against
+    the ``parent`` runs of one workload."""
+    def share(runs):
+        return (sum(run["failed"] for run in runs)
+                / max(sum(run["attempted"] for run in runs), 1))
+
+    broken = sum(not run["correct"] for run in change)
+    failing = broken or share(change) > share(parent)
+    lines = [("REGRESSED" if failing else "ok",
+              f"{len(change) - broken}/{len(change)} change runs correct; "
+              f"failed share {share(change):.2%} (parent "
+              f"{share(parent):.2%})")]
+    for metric in spec["end_to_end"]:
+        name, bound, unit = metric["name"], metric["bound"], metric["unit"]
+        old, new = ([run["metrics"][name]["value"] for run in runs
+                     if run["metrics"].get(name, {}).get("value") is not None]
+                    for runs in (parent, change))
+        if len(old) < 2:
+            continue
+        if not new:
+            lines.append(("REGRESSED", f"{name}: missing from the change's "
+                                       f"runs"))
+            continue
+        p1, p2, p3 = statistics.quantiles(old, n=4, method="inclusive")
+        c2 = statistics.median(new)
+        worse = worse_by(p2, c2, metric["better"])
+        spread = (p3 - p1) / abs(p2) if p2 else float("inf")
+        beats_all = (max(new) < min(old) if metric["better"] == "lower"
+                     else min(new) > max(old))
+        verdict = ("REGRESSED" if worse > bound else "UNRESOLVED"
+                   if spread > bound and not beats_all else "ok")
+        lines.append((verdict, f"{name}: median {p2:.6g} -> {c2:.6g} {unit} "
+                               f"({describe(worse)}), parent quartiles "
+                               f"{p1:.6g}-{p3:.6g} (IQR {spread:.1%} of the "
+                               f"median), bound {bound:.0%}"))
+    return lines
+
+
 def read_runs(path: Path) -> list[dict]:
     return [json.loads(line) for line in path.read_text().splitlines()
             if line.strip()]
@@ -108,8 +163,12 @@ def read_runs(path: Path) -> list[dict]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--claim", metavar="WORKLOAD:METRIC",
-                        help="test a claimed gain over paired runs")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--claim", metavar="WORKLOAD:METRIC",
+                      help="test a claimed gain over paired runs")
+    mode.add_argument("--no-regress", action="store_true",
+                      help="check paired runs of one workload for "
+                           "regressions")
     parser.add_argument("before", type=Path)
     parser.add_argument("after", type=Path)
     args = parser.parse_args(argv)
@@ -126,6 +185,15 @@ def main(argv=None) -> int:
         lines, held = claim(parent, change, metric, args.claim)
         print("\n".join(lines))
         return 0 if held else 1
+    if args.no_regress:
+        parent, change = read_runs(args.before), read_runs(args.after)
+        if len(parent) < 2 or not change:
+            parser.error(f"--no-regress needs at least 2 parent runs and one "
+                         f"change run; got {len(parent)} and {len(change)}")
+        checks = no_regress(parent, change, spec)
+        for verdict, message in checks:
+            print(f"{verdict:10s} {message}")
+        return 1 if any(v == "REGRESSED" for v, _ in checks) else 0
     lines = compare(json.loads(args.before.read_text()),
                     json.loads(args.after.read_text()), spec)
     for message, regressed in lines:
