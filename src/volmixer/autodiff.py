@@ -33,7 +33,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import mmap
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -133,30 +132,21 @@ class Workspace:
     """Pool of arrays, lent by shape and dtype inside ``with workspace:``.
 
     While the block is the innermost one entered, every op takes its arrays
-    from the workspace. ``empty`` lends a buffer, cutting a new one only when
-    every buffer of that shape and dtype is lent; ``reset`` takes all of them
-    back, so the next step's ``empty`` calls get the same buffers and
-    overwrite what the previous step left there. Buffers of ``MAPPED`` bytes
-    or more are cut from anonymous memory maps of at least ``SLAB`` bytes, so
-    their memory goes back to the system once the workspace and its arrays
-    are dropped, rather than staying in the heap under the next, larger
-    allocations; smaller ones come from the heap, which reuses them without
-    faulting memory in again.
+    from the workspace. ``empty`` lends a buffer, cutting a new one from the
+    heap only when every buffer of that shape and dtype is lent; ``reset``
+    takes all of them back, so the next step's ``empty`` calls get the same
+    buffers and overwrite what the previous step left there. The buffers are
+    freed with the workspace, once nothing else holds them.
     """
-
-    SLAB = 16 << 20
-    MAPPED = 512 << 10
 
     def __init__(self):
         self._free: dict[tuple, list[np.ndarray]] = {}
         self._lent: list[tuple[tuple, np.ndarray]] = []
-        self._slab: Optional[mmap.mmap] = None
-        self._used = 0
 
     def empty(self, shape: tuple, dtype=np.float64) -> np.ndarray:
         key = (shape, dtype)
         free = self._free.get(key)
-        buf = free.pop() if free else self._cut(shape, np.dtype(dtype))
+        buf = free.pop() if free else np.empty(shape, dtype)
         self._lent.append((key, buf))
         return buf
 
@@ -173,17 +163,6 @@ class Workspace:
         for key, buf in reversed(self._lent):
             self._free.setdefault(key, []).append(buf)
         self._lent.clear()
-
-    def _cut(self, shape: tuple, dtype: np.dtype) -> np.ndarray:
-        count = math.prod(shape)
-        size = -(-count * dtype.itemsize // 64) * 64    # 64-byte aligned
-        if size < self.MAPPED:
-            return np.empty(shape, dtype)
-        if self._slab is None or self._used + size > len(self._slab):
-            self._slab, self._used = mmap.mmap(-1, max(self.SLAB, size)), 0
-        buf = np.frombuffer(self._slab, dtype, count, self._used)
-        self._used += size
-        return buf.reshape(shape)
 
 
 class Tape:

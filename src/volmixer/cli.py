@@ -66,6 +66,11 @@ class RunConfig:
         if not self.horizons or any(f < 1 for f in self.horizons):
             raise ValidationFailure("horizons must be a nonempty list of "
                                     "positive integers")
+        repeated = sorted({f for f in self.horizons
+                           if self.horizons.count(f) > 1})
+        if repeated:
+            raise ValidationFailure(f"horizons must be distinct; repeated: "
+                                    f"{repeated}")
         if not Path(self.roster).exists():
             raise ValidationFailure(f"roster file not found: {self.roster}")
         # surfaces model shape problems before any data work

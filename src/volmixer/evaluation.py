@@ -79,11 +79,10 @@ def baseline_persistence(lookback: np.ndarray, horizon: int) -> np.ndarray:
     return np.repeat(_targets(lookback)[:, -1:], horizon, axis=1)
 
 
-def baseline_window_mean(lookback: np.ndarray, horizon: int,
-                         window: int = 21) -> np.ndarray:
-    """(N, P, C) -> (N, F): the mean of each window's last ``window``
-    target values, repeated."""
-    means = _targets(lookback)[:, -window:].mean(axis=1, keepdims=True)
+def baseline_window_mean(lookback: np.ndarray, horizon: int) -> np.ndarray:
+    """(N, P, C) -> (N, F): the mean of each window's last 21 target
+    values (about a trading month), repeated."""
+    means = _targets(lookback)[:, -21:].mean(axis=1, keepdims=True)
     return np.repeat(means, horizon, axis=1)
 
 

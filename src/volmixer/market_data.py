@@ -501,29 +501,24 @@ def make_windows(values: np.ndarray, lookback: int, horizon: int,
                            dates=list(dates) if dates else [])
 
 
-def split_chronological(dataset: WindowedDataset, test_fraction: float = 0.2,
-                        gap: Optional[int] = None) -> WindowedDataset:
+def split_chronological(dataset: WindowedDataset) -> WindowedDataset:
     """Assign chronological train/val/test ranges over the sample axis.
 
-    The last ceil(test_fraction * N) samples form the test set; validation is
-    sized to 10% of the training set. ``gap`` samples are discarded between
-    consecutive splits so that no earlier split's target overlaps a later
-    split's lookback; it defaults to lookback + horizon - 1, the smallest
-    leak-proof spacing. Pass ``gap=0`` for plain contiguous arithmetic.
+    The last ceil(0.2 * N) samples form the test set; validation is sized to
+    10% of the training set. lookback + horizon - 1 samples, the smallest
+    leak-proof spacing, are discarded between consecutive splits, so that no
+    earlier split's target overlaps a later split's lookback.
     """
     n = len(dataset)
-    if not 0 < test_fraction < 1:
-        raise ValidationError(f"test_fraction must be in (0,1), got {test_fraction}")
-    if gap is None:
-        gap = dataset.lookback + dataset.horizon - 1
-    n_test = math.ceil(test_fraction * n)
+    gap = dataset.lookback + dataset.horizon - 1
+    n_test = math.ceil(0.2 * n)
     avail = n - n_test - 2 * gap
     n_val = round(avail / 11) if avail > 0 else 0
     n_train = avail - n_val
     if n_train < 1 or n_val < 1 or n_test < 1:
         raise SplitError(f"{n} samples cannot support train/val/test with "
-                         f"test_fraction={test_fraction} and gap={gap} "
-                         f"(train={n_train}, val={n_val}, test={n_test})")
+                         f"gap={gap} (train={n_train}, val={n_val}, "
+                         f"test={n_test})")
     dataset.train_range = (0, n_train)
     dataset.val_range = (n_train + gap, n_train + gap + n_val)
     dataset.test_range = (n - n_test, n)

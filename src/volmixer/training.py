@@ -9,13 +9,11 @@ gradient state. Training steps record on tapes inside an epoch's
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -145,21 +143,18 @@ def evaluate_split(model: TimeMixerModel, x: np.ndarray, y: np.ndarray) -> float
     return total / count
 
 
-def _step(model: TimeMixerModel, optimizer: Adam,
-          workspace: Optional[Workspace], xb: np.ndarray,
-          yb: np.ndarray) -> float:
+def _step(model: TimeMixerModel, optimizer: Adam, workspace: Workspace,
+          xb: np.ndarray, yb: np.ndarray) -> float:
     """One Adam step on a normalized batch; the batch loss.
 
-    With a ``workspace``, which it resets first, the step records on a
-    plain tape inside it: it reuses the arrays of the workspace's previous
-    step, so once the pool holds a step's working set, a step of the same
-    batch size allocates no activations, gradients or scratch anew. Without
-    one, the step allocates afresh.
+    It resets ``workspace`` and records on a plain tape inside it, so it
+    reuses the arrays of the workspace's previous step: once the pool holds
+    a step's working set, a step of the same batch size allocates no
+    activations, gradients or scratch anew.
     """
     model.zero_grads()
-    if workspace is not None:
-        workspace.reset()
-    with workspace or contextlib.nullcontext(), Tape() as tape:
+    workspace.reset()
+    with workspace, Tape() as tape:
         loss = mse_loss(model.forward_normalized(xb), Tensor(yb))
     ad.backward(loss, tape)
     optimizer.step()
@@ -171,9 +166,9 @@ def _fit_epoch(model: TimeMixerModel, optimizer: Adam, x: np.ndarray,
                epoch: int) -> float:
     """One ``_step`` per batch of ``order``; the mean batch loss.
 
-    The full batches share one workspace. It is dropped before a short last
-    batch, which allocates afresh rather than filling a second pool for one
-    step, and in any case when this call returns: validation allocates its
+    The full batches share one workspace. A short last batch gets a fresh
+    one, so the full batches' pool is dropped before it fills its own, and
+    that one is dropped when this call returns: validation allocates its
     own, larger batches.
     """
     workspace = Workspace()
@@ -181,7 +176,7 @@ def _fit_epoch(model: TimeMixerModel, optimizer: Adam, x: np.ndarray,
     for lo in range(0, order.size, batch_size):
         idx = order[lo:lo + batch_size]
         if idx.size != batch_size:
-            workspace = None
+            workspace = Workspace()
         try:
             epoch_loss += _step(model, optimizer, workspace,
                                 *_normalized_batch(x[idx], y[idx]))

@@ -369,14 +369,20 @@ class TestWorkspace:
         assert {id(x) for x in again} == {id(a), id(b), id(flags)}
         assert not np.shares_memory(ws.empty((2, 3)), a)    # all three lent
 
-    def test_buffers_do_not_overlap_across_slabs(self):
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(hnp.array_shapes(min_dims=0, max_dims=3,
+                                               min_side=0, max_side=5),
+                              st.sampled_from([np.float64, np.bool_])),
+                    max_size=12))
+    def test_lent_buffers_are_disjoint_and_lent_again_in_order(self, wants):
         ws = Workspace()
-        ws.SLAB, ws.MAPPED = 1024, 0
-        bufs = [ws.empty((n,)) for n in (100, 100, 7, 300, 1)]
-        for i, x in enumerate(bufs):
-            assert x.shape == ((100, 100, 7, 300, 1)[i],)
-            assert x.ctypes.data % 64 == 0
+        bufs = [ws.empty(shape, dtype) for shape, dtype in wants]
+        for i, (x, (shape, dtype)) in enumerate(zip(bufs, wants)):
+            assert x.shape == shape and x.dtype == dtype
             assert not any(np.shares_memory(x, y) for y in bufs[:i])
+        ws.reset()
+        again = [ws.empty(shape, dtype) for shape, dtype in wants]
+        assert all(x is y for x, y in zip(again, bufs))
 
     def test_innermost_entered_workspace_lends(self, rng):
         outer, inner = Workspace(), Workspace()
@@ -414,14 +420,14 @@ class TestWorkspace:
 
     def test_pooled_tape_reuses_its_arrays_after_reset(self):
         ws = Workspace()
-        ws.MAPPED = 0       # every buffer from a slab: none cut anew below
         loss, leaves = self.step(ws)
-        first, slab, used = [t.grad for t in leaves], ws._slab, ws._used
+        first, lent = [t.grad for t in leaves], [buf for _, buf in ws._lent]
         ws.reset()
         loss2, leaves2 = self.step(ws)
         for g, t in zip(first, leaves2):
             assert np.shares_memory(g, t.grad)
-        assert (ws._slab, ws._used) == (slab, used)     # nothing new was cut
+        again = [buf for _, buf in ws._lent]
+        assert list(map(id, again)) == list(map(id, lent))  # none cut anew
         assert float(loss.values) == float(loss2.values)
 
     def test_plain_tape_never_reuses_memory(self):

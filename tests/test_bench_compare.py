@@ -146,6 +146,16 @@ def test_no_regress_prints_medians_and_relative_change(tmp_path):
             "1.5-2.5 (IQR 50.0% of the median)") in job_line(done.stdout)
 
 
+def test_no_regress_lists_every_run_in_pair_order(tmp_path):
+    change = [v * 1.1 for v in NOISY]
+    lines = no_regress(tmp_path, runs(NOISY), runs(change)).stdout.splitlines()
+    at = lines.index(job_line("\n".join(lines)))
+    assert lines[at + 1].split() == ["parent", "job_s", "by", "pair:",
+                                     *(f"{v:.6g}" for v in NOISY)]
+    assert lines[at + 2].split() == ["change", "job_s", "by", "pair:",
+                                     *(f"{v:.6g}" for v in change)]
+
+
 @pytest.mark.parametrize("change", [
     runs(STEADY[:9]) + runs(STEADY[9:], correct=False),
     runs(STEADY[:9]) + runs(STEADY[9:], failed=1),

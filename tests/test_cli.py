@@ -243,6 +243,16 @@ class TestConfig:
         assert f"error: {key} must be" in capsys.readouterr().err
         assert not (tmp / "out").exists()
 
+    def test_repeated_horizon_is_validation_error(self, workspace, capsys):
+        # one checkpoint and one set of metrics rows per (ticker, horizon)
+        tmp, config, fixtures = workspace
+        run_cli(config, "fetch", "--fixtures", str(fixtures))
+        capsys.readouterr()
+        assert run_cli(config, "run", "--set", "horizons=[8,4,8]") == 1
+        assert ("error: horizons must be distinct; repeated: [8]"
+                in capsys.readouterr().err)
+        assert not (tmp / "out").exists()
+
     def test_missing_roster(self, tmp_path):
         config = tmp_path / "c.json"
         config.write_text(json.dumps({"roster": str(tmp_path / "nope.json")}))

@@ -82,9 +82,10 @@ class TestBaselines:
         assert errors == [1.0, 1.5, 2.5]
 
     def test_window_mean(self):
-        x = np.array([[[1.0], [2.0], [3.0], [4.0]]])
-        out = ev.baseline_window_mean(x, horizon=2, window=2)
-        assert out.tolist() == [[3.5, 3.5]]
+        # the last 21 of 30 steps, 9 .. 29: mean 19
+        x = np.arange(30.0).reshape(1, 30, 1)
+        out = ev.baseline_window_mean(x, horizon=2)
+        assert out.tolist() == [[19.0, 19.0]]
 
 
 class TestReports:

@@ -454,16 +454,16 @@ class TestSplit:
     def test_contiguous_arithmetic(self):
         ds = md.make_windows(np.arange(125.0), lookback=4, horizon=2)
         assert len(ds) == 120
-        md.split_chronological(ds, test_fraction=0.2, gap=0)
+        md.split_chronological(ds)     # gap = lookback + horizon - 1 = 5
         assert ds.test_range == (96, 120)
-        assert ds.val_range == (87, 96)
-        assert ds.train_range == (0, 87)
+        assert ds.val_range == (83, 91)
+        assert ds.train_range == (0, 78)
 
     def test_val_is_ten_percent_of_train(self, rng):
         for n_extra in (0, 37, 111, 400):
             ds = md.make_windows(np.arange(300.0 + n_extra), lookback=8,
                                  horizon=4)
-            md.split_chronological(ds, test_fraction=0.2)
+            md.split_chronological(ds)
             n_train = ds.train_range[1] - ds.train_range[0]
             n_val = ds.val_range[1] - ds.val_range[0]
             assert abs(n_val - round(0.1 * n_train)) <= 1
@@ -486,19 +486,18 @@ class TestSplit:
     def test_degenerate_split_rejected(self):
         ds = md.make_windows(np.arange(9.0), lookback=4, horizon=2)
         with pytest.raises(SplitError):
-            md.split_chronological(ds, test_fraction=0.2)
+            md.split_chronological(ds)
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(lookback=st.integers(1, 64), horizon=st.integers(1, 32),
-           extra=st.integers(0, 400),
-           test_fraction=st.floats(0, 1, exclude_min=True, exclude_max=True))
-    def test_never_leaks(self, lookback, horizon, extra, test_fraction):
+           extra=st.integers(0, 400))
+    def test_never_leaks(self, lookback, horizon, extra):
         # The series is its own time index, so x holds each sample's lookback
         # steps and y its target steps.
         ds = md.make_windows(np.arange(float(lookback + horizon + extra)),
                              lookback, horizon)
         try:
-            md.split_chronological(ds, test_fraction=test_fraction)
+            md.split_chronological(ds)
         except SplitError:
             return
         ranges = (ds.train_range, ds.val_range, ds.test_range)

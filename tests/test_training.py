@@ -1,5 +1,4 @@
 import gc
-import mmap
 import struct
 import tracemalloc
 import weakref
@@ -237,11 +236,25 @@ def plain_steps(model, opt, x, y, order, batch_size):
         opt.step()
 
 
-def pool_backed(array):
-    """Whether ``array``'s memory was cut from a ``Workspace`` slab."""
+def tracking(lent: dict) -> type:
+    """A ``Workspace`` subclass whose instances also put every buffer they
+    lend into ``lent``, by ``id``; ``lent`` holds the buffers, so the ids
+    stay theirs."""
+    class Tracked(Workspace):
+        def empty(self, shape, dtype=np.float64):
+            buf = super().empty(shape, dtype)
+            lent[id(buf)] = buf
+            return buf
+    return Tracked
+
+
+def pool_backed(array, lent: dict) -> bool:
+    """Whether ``array`` is, or is a view of, a buffer in ``lent``."""
     while isinstance(array, np.ndarray):
+        if id(array) in lent:
+            return True
         array = array.base
-    return isinstance(array, (mmap.mmap, memoryview))
+    return False
 
 
 class TestPooledSteps:
@@ -278,20 +291,20 @@ class TestPooledSteps:
     def test_reached_grads_are_views_of_grad_flat(self):
         model = TimeMixerModel(SMALL)
         x, y = sine_dataset().train
-        ws = Workspace()
+        lent = {}
+        ws = tracking(lent)()
         for _ in range(2):
             _step(model, Adam(model), ws, *_normalized_batch(x[:8], y[:8]))
+            assert all(pool_backed(buf[...], lent) for buf in lent.values())
             for name, p in model.params.items():
                 assert np.shares_memory(p.grad, model.grad_flat), name
-                assert not pool_backed(p.grad), name
+                assert not pool_backed(p.grad, lent), name
 
     def test_pool_is_dropped_before_validation_and_after_train(self,
                                                                monkeypatch):
-        pools = []
+        pools, lent = [], {}
 
-        class Tracked(Workspace):
-            MAPPED = 0      # every buffer from a slab, so pool_backed sees it
-
+        class Tracked(tracking(lent)):
             def __init__(self):
                 super().__init__()
                 pools.append(weakref.ref(self))
@@ -316,7 +329,27 @@ class TestPooledSteps:
         arrays = [model.flat, model.grad_flat]
         for p in model.params.values():
             arrays += [p.values, p.grad, p.grad_buffer]
-        assert not any(pool_backed(a) for a in arrays if a is not None)
+        assert lent
+        assert not any(pool_backed(a, lent) for a in arrays if a is not None)
+
+    def test_short_last_batch_runs_on_a_fresh_workspace(self, monkeypatch):
+        """Each step runs on a workspace: the full batches on one, the
+        short last batch on a new one, made once the first is dropped."""
+        x, y = sine_dataset().train
+        alive = []      # per step: which of the steps' workspaces live
+        refs = []
+        step = training._step
+
+        def spy(model, optimizer, workspace, xb, yb):
+            refs.append(weakref.ref(workspace))
+            gc.collect()
+            alive.append([r() is not None for r in refs])
+            return step(model, optimizer, workspace, xb, yb)
+
+        monkeypatch.setattr(training, "_step", spy)
+        model = TimeMixerModel(SMALL)
+        _fit_epoch(model, Adam(model), x, y, np.arange(2 * 8 + 3), 8, 0)
+        assert alive == [[True], [True, True], [False, False, True]]
 
     def test_steady_step_allocates_under_1mb(self):
         """A guard, not a timing: once the pool holds a step's working set

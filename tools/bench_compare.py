@@ -29,9 +29,11 @@ REGRESSED when the change's median is worse than the parent's by more than
 the metric's bound; UNRESOLVED when the parent's interquartile range,
 relative to its median, is wider than the bound and not every change run
 beats every parent run, so the runs cannot show a change of the bound's
-size; ok otherwise. It exits 1 on a regression, on a change run that is
-not correct and on a larger share of failed operations than the parent's;
-an unresolved metric does not change the exit code.
+size; ok otherwise. Under each verdict it lists the metric's parent runs
+and change runs in pair order ("-" for a run without the metric). It exits
+1 on a regression, on a change run that is not correct and on a larger
+share of failed operations than the parent's; an unresolved metric does not
+change the exit code.
 """
 
 from __future__ import annotations
@@ -132,9 +134,9 @@ def no_regress(parent: list[dict], change: list[dict],
               f"{share(parent):.2%})")]
     for metric in spec["end_to_end"]:
         name, bound, unit = metric["name"], metric["bound"], metric["unit"]
-        old, new = ([run["metrics"][name]["value"] for run in runs
-                     if run["metrics"].get(name, {}).get("value") is not None]
-                    for runs in (parent, change))
+        paired = [[run["metrics"].get(name, {}).get("value") for run in runs]
+                  for runs in (parent, change)]
+        old, new = ([v for v in values if v is not None] for values in paired)
         if len(old) < 2:
             continue
         if not new:
@@ -153,6 +155,9 @@ def no_regress(parent: list[dict], change: list[dict],
                                f"({describe(worse)}), parent quartiles "
                                f"{p1:.6g}-{p3:.6g} (IQR {spread:.1%} of the "
                                f"median), bound {bound:.0%}"))
+        lines += [("", f"  {side} {name} by pair: " + " ".join(
+                       "-" if v is None else f"{v:.6g}" for v in values))
+                  for side, values in zip(("parent", "change"), paired)]
     return lines
 
 
