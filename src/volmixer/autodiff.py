@@ -119,6 +119,40 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
+_VALUES_SLOT = Tensor.values
+
+
+def _write_through(param: "Parameter", new) -> None:
+    view = _VALUES_SLOT.__get__(param)
+    new = np.asarray(new, dtype=np.float64)
+    if new.shape != view.shape:
+        raise ParameterError(f"parameter of shape {view.shape} cannot take "
+                             f"values of shape {new.shape}")
+    view[...] = new
+
+
+class Parameter(Tensor):
+    """A trainable tensor bound to one array for life, such as its view into
+    a model's parameter vector.
+
+    Assigning to ``values`` copies into that array, so whatever else reads
+    the array sees the new values; an array of another shape raises
+    ``ParameterError``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, values: np.ndarray,
+                 grad_buffer: Optional[np.ndarray] = None):
+        _VALUES_SLOT.__set__(self, values)
+        self.requires_grad = True
+        self.grad = None
+        self.grad_buffer = grad_buffer
+
+    # read through the slot's own getter, so a read costs no Python call
+    values = property(_VALUES_SLOT.__get__, _write_through)
+
+
 class _Node:
     __slots__ = ("inputs", "outputs", "backward_fn")
 

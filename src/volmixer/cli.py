@@ -174,9 +174,8 @@ def _load_cached(config: RunConfig, entry) -> market_data.OhlcvSeries:
     return parse_ohlcv_csv(path.read_bytes(), ticker=entry.ticker)
 
 
-def _prepare_dataset(config: RunConfig, series, horizon: int):
-    values, dates = market_data.feature_matrix(series,
-                                               covariates=config.covariates)
+def _prepare_dataset(config: RunConfig, features, horizon: int):
+    values, dates = features
     dataset = market_data.make_windows(values, config.lookback, horizon,
                                        dates=dates)
     return market_data.split_chronological(dataset)
@@ -196,9 +195,11 @@ def _record_failure(failures: list, exc: Exception, label: str, **where):
 def _each_pair(config: RunConfig, work) -> list[dict]:
     """Call ``work(entry, horizon, dataset)`` for every (ticker, horizon) pair.
 
-    Each ticker's cache is loaded once. A ticker that fails to load, or a
-    pair whose dataset or ``work`` fails, is recorded and the loop goes on.
-    Returns the failures as ``{"ticker", ["horizon"], "error"}`` dicts.
+    Each ticker's cache is loaded, and its features built, once. A ticker
+    that fails to load, or a pair whose dataset or ``work`` fails, is
+    recorded and the loop goes on; a ticker whose features fail is recorded
+    as that failure of each of its pairs. Returns the failures as
+    ``{"ticker", ["horizon"], "error"}`` dicts.
     """
     failures = []
     for entry in AssetRoster.from_json(config.roster).entries:
@@ -207,12 +208,22 @@ def _each_pair(config: RunConfig, work) -> list[dict]:
         except LOAD_ERRORS as exc:
             _record_failure(failures, exc, entry.ticker, ticker=entry.ticker)
             continue
+        try:
+            features = market_data.feature_matrix(
+                series, covariates=config.covariates)
+        except PAIR_ERRORS as exc:
+            features = exc      # each horizon records it as its failure
         for horizon in config.horizons:
             try:
-                work(entry, horizon, _prepare_dataset(config, series, horizon))
+                if isinstance(features, Exception):
+                    raise features
+                work(entry, horizon, _prepare_dataset(config, features,
+                                                      horizon))
             except PAIR_ERRORS as exc:
                 _record_failure(failures, exc, f"{entry.ticker} F={horizon}",
                                 ticker=entry.ticker, horizon=horizon)
+        # so that this ticker's data are freed before the next one loads
+        del series, features
     return failures
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from volmixer import autodiff as ad
 from volmixer.atomic import write_atomic
-from volmixer.autodiff import Tensor
+from volmixer.autodiff import Parameter, Tensor
 from volmixer.multiscale import ConfigError, build_multiscale, series_decomp
 
 _MAGIC = b"VOLMIXCK"
@@ -161,6 +161,23 @@ def _stack_maps(lookback: int, num_scales: int,
     return ladder, season, trend
 
 
+def _weights_only_group(name: str) -> str | None:
+    """The weights-only value a parameter feeds: its block's time map and
+    bias (the mixing weights of ``block<l>``), the stacked ``head``, or
+    None. Each group's parameters are consecutive in ``_manifest``."""
+    pre, kind = name.split(".")[:2]
+    if kind.startswith(("bottom_up", "top_down")):
+        return pre
+    return "head" if pre == "head" else None
+
+
+def _frozen(t: Tensor) -> Tensor:
+    """A read-only copy of ``t``'s values, owned by no workspace."""
+    values = np.array(t.values)
+    values.setflags(write=False)
+    return Tensor(values)
+
+
 def _chunk_windows(config: ModelConfig) -> int:
     """Windows per chunk of a forward-only pass: as many as keep the widest
     (windows, ΣT, max(d_model, ff_hidden)) activation within ``_CHUNK_BYTES``,
@@ -175,10 +192,16 @@ class TimeMixerModel:
     Weights are uniform in +-1/sqrt(fan_in); biases start at zero. Predictor
     maps in the head are bias-free so the head is exactly linear.
 
-    Each ``params[name].values`` is a view into one float64 vector, ``flat``,
-    laid out by ``_manifest``, so parameters are written in place. Their
-    gradients go to the same slots of a second vector, ``grad_flat``: a
-    reached parameter's ``grad`` is a view into it.
+    Each ``params[name]`` is a ``Parameter`` whose ``values`` is a view into
+    one float64 vector, ``flat``, laid out by ``_manifest``: writing to a
+    parameter, in place or by assigning to ``values``, writes ``flat``, so
+    ``flat`` is the one place a parameter lives. Their gradients go to the
+    same slots of a second vector, ``grad_flat``: a reached parameter's
+    ``grad`` is a view into it.
+
+    Outside a tape, each block's time map and bias and the stacked head are
+    built once per state of the weights they depend on (see
+    ``_weights_only``), not once per call.
     """
 
     def __init__(self, config: ModelConfig):
@@ -188,7 +211,13 @@ class TimeMixerModel:
         manifest = _manifest(config)
         self.flat = np.zeros(sum(math.prod(e["shape"]) for e in manifest))
         self.grad_flat = np.zeros_like(self.flat)
-        self.params: dict[str, Tensor] = {}
+        self.params: dict[str, Parameter] = {}
+        # the slice of ``flat`` behind each weights-only value, and that
+        # value with the bytes of the slice it was built from
+        self._spans: dict[str, slice] = {}
+        self._built: dict[str, tuple[bytes, tuple[Tensor, ...]]] = {}
+        # the chunk workspace of ``forward``, kept from call to call
+        self._forward_pool = ad.Workspace()
         for entry in manifest:
             name, shape, start = entry["name"], entry["shape"], entry["offset"]
             span = slice(start, start + math.prod(shape))
@@ -196,13 +225,39 @@ class TimeMixerModel:
             if not (name.endswith(".b") or ".b1" in name or ".b2" in name):
                 bound = 1.0 / np.sqrt(shape[0])
                 values[...] = rng.uniform(-bound, bound, size=shape)
-            self.params[name] = Tensor(
-                values, requires_grad=True,
-                grad_buffer=self.grad_flat[span].reshape(shape))
+            self.params[name] = Parameter(
+                values, grad_buffer=self.grad_flat[span].reshape(shape))
+            group = _weights_only_group(name)
+            if group is not None:
+                first = self._spans.get(group, span)
+                self._spans[group] = slice(first.start, span.stop)
 
     def zero_grads(self) -> None:
         for t in self.params.values():
             t.zero_grad()
+
+    def _weights_only(self, group: str, build) -> tuple[Tensor, ...]:
+        """``build()``, the tensors that depend only on ``group``'s weights.
+
+        Under a tape it runs every call, so that its ops are recorded.
+        Otherwise its result is kept with the bytes of ``group``'s slice of
+        ``flat`` and reused while that slice holds the same bytes: any write
+        to ``flat``, an Adam step, a restored snapshot or a write to a
+        parameter, makes the next call build again. It builds on a
+        workspace of its own, dropped once the result is copied, so that
+        neither what is kept nor the build's scratch is left in the caller's
+        workspace.
+        """
+        if ad.active_tape() is not None:
+            return build()
+        # a block of a one-scale model has no mixing weights
+        key = self.flat[self._spans.get(group, slice(0, 0))].tobytes()
+        kept = self._built.get(group)
+        if kept is None or kept[0] != key:
+            with ad.Workspace():
+                kept = key, tuple(map(_frozen, build()))
+            self._built[group] = kept
+        return kept[1]
 
     # -- forward ------------------------------------------------------------
 
@@ -221,7 +276,8 @@ class TimeMixerModel:
         fine-to-coarse, trend parts coarse-to-fine, then a residual channel
         feedforward, with each scale's own weights, recombines them. Up to
         the feedforward the block is linear in the stack: one (ΣT, ΣT) time
-        map plus a ΣT bias, built from the mixing weights by ``cascade``.
+        map plus a ΣT bias, built from the mixing weights by ``cascade``;
+        outside a tape, once per state of those weights.
         """
         lengths = self._check_stack(stack)
         p, pre = self.params, f"block{layer}"
@@ -233,7 +289,8 @@ class TimeMixerModel:
         _, season, trend = _stack_maps(self.config.lookback,
                                        self.config.num_scales,
                                        self.config.decomp_kernel)
-        mixing, bias = ad.cascade(season, up_w, up_b, trend, down_w, down_b)
+        mixing, bias = self._weights_only(pre, lambda: ad.cascade(
+            season, up_w, up_b, trend, down_w, down_b))
         mix = ad.time_linear(stack, mixing, bias)
         ff = {name: [p[f"{pre}.ff{m}.{name}"] for m in range(len(lengths))]
               for name in ("W1", "b1", "W2", "b2")}
@@ -243,10 +300,11 @@ class TimeMixerModel:
 
     def fmm_forward(self, stack: Tensor) -> Tensor:
         """Sum of per-scale linear predictors mapping each time length to F:
-        one time map by the stacked (ΣT, F) predictor weights."""
+        one time map by the stacked (ΣT, F) predictor weights, which
+        ``concat`` stacks; outside a tape, once per state of the head."""
         lengths = self._check_stack(stack)
-        head = ad.concat([self.params[f"head.pred{m}.W"]
-                          for m in range(len(lengths))])
+        (head,) = self._weights_only("head", lambda: (ad.concat(
+            [self.params[f"head.pred{m}.W"] for m in range(len(lengths))]),))
         return ad.time_linear(stack, head)
 
     def forward_normalized(self, x_norm: np.ndarray) -> Tensor:
@@ -288,25 +346,50 @@ class TimeMixerModel:
         reset between chunks; each chunk's rows are copied into a fresh
         (B, F) array. Every op computes each window's rows on their own, so
         the result is byte-identical to a whole-batch pass. A smaller batch,
-        and every batch under a tape, runs whole.
+        and every batch under a tape, runs whole. The blocks' time maps and
+        the head, built in the first chunk when the weights changed since
+        the last call, are kept as copies outside the workspace, so later
+        chunks and calls reuse them.
         """
+        return self._predict(x_norm, ad.Workspace())
+
+    def _predict(self, x_norm: np.ndarray, pool: ad.Workspace) -> np.ndarray:
+        """``predict_normalized`` with the k-window chunks on ``pool``; a
+        last, shorter chunk runs on a workspace of its own, so that ``pool``
+        only ever holds the buffers of k windows."""
         x_norm = self._check_windows(x_norm)
         n, k = x_norm.shape[0], _chunk_windows(self.config)
         if n <= k or ad.active_tape() is not None:
             return self.forward_normalized(x_norm).values
         out = np.empty((n, self.config.horizon))
-        with ad.Workspace() as pool:
-            for lo in range(0, n, k):
+        whole = n - n % k
+        with pool:
+            for lo in range(0, whole, k):
                 pool.reset()
                 out[lo:lo + k] = self.forward_normalized(
                     x_norm[lo:lo + k]).values
+        if whole < n:
+            with ad.Workspace():
+                out[whole:] = self.forward_normalized(x_norm[whole:]).values
         return out
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Forecast raw windows: (B, P, C) -> (B, F), or (P, C) -> (F,)."""
+        """Forecast raw windows: (B, P, C) -> (B, F), or (P, C) -> (F,).
+
+        Any other shape raises ``ShapeError`` before normalizing. Unlike
+        ``predict_normalized``, whose chunk workspace is freed when it
+        returns, a forecast keeps its chunk workspace (about 10 MiB at the
+        default config) for the model's next call, so that a model serving
+        batches does not give its heap back and fault it in again on every
+        call.
+        """
         x = np.asarray(x, dtype=np.float64)
+        p, c = self.config.lookback, self.config.channels
+        if x.ndim not in (2, 3) or x.shape[-2:] != (p, c):
+            raise ad.ShapeError(f"expected ({p}, {c}) or (batch, {p}, {c}), "
+                                f"got {x.shape}")
         x_norm, stats = instance_normalize(x[None] if x.ndim == 2 else x)
-        out = denormalize(self.predict_normalized(x_norm), stats)
+        out = denormalize(self._predict(x_norm, self._forward_pool), stats)
         return out[0] if x.ndim == 2 else out
 
     # -- checkpointing ------------------------------------------------------

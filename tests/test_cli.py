@@ -343,6 +343,38 @@ class TestPipeline:
         csv = (tmp / "out" / "metrics.csv").read_text()
         assert "ALPHA" in csv and "BETA," not in csv
 
+    def test_features_are_built_once_per_ticker(self, workspace, capsys,
+                                                monkeypatch):
+        tmp, config, fixtures = workspace
+        run_cli(config, "fetch", "--fixtures", str(fixtures))
+        calls = []
+
+        def counted(series, covariates=False):
+            calls.append(series.ticker)
+            return feature_matrix(series, covariates=covariates)
+
+        monkeypatch.setattr(cli.market_data, "feature_matrix", counted)
+        capsys.readouterr()
+        assert run_cli(config, "prepare", "--set", "horizons=[4,8,12]") == 0
+        assert calls == ["ALPHA", "BETA"]
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            f"{t} F={f}" for t in ("ALPHA", "BETA") for f in (4, 8, 12)]
+
+    def test_ticker_too_short_for_features_fails_each_horizon(self, workspace,
+                                                              capsys):
+        tmp, config, fixtures = workspace
+        run_cli(config, "fetch", "--fixtures", str(fixtures))
+        beta = next((tmp / "data").glob("BETA_*.csv"))
+        beta.write_text("\n".join(beta.read_text().split("\n")[:12]) + "\n")
+        capsys.readouterr()
+        assert run_cli(config, "run", "--set", "horizons=[4,8]") == 3
+        manifest = json.loads((tmp / "out" / "manifest.json").read_text())
+        error = "need >= 21 returns, got 10"
+        assert manifest["failures"] == [
+            {"ticker": "BETA", "horizon": f, "error": error} for f in (4, 8)]
+        assert capsys.readouterr().err.count("need >= 21 returns") == 2
+
     def test_run_records_divergence_per_pair(self, workspace):
         tmp, config, fixtures = workspace
         run_cli(config, "fetch", "--fixtures", str(fixtures))

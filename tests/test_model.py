@@ -15,7 +15,7 @@ from volmixer.model import (CheckpointError, ModelConfig, TimeMixerModel,
                             _chunk_windows, denormalize, instance_normalize,
                             parameter_shapes)
 from volmixer.multiscale import ConfigError, build_multiscale
-from volmixer.training import mse_loss
+from volmixer.training import Adam, mse_loss
 
 TINY = ModelConfig(lookback=8, horizon=2, channels=1, d_model=4, num_blocks=1,
                    num_scales=1, decomp_kernel=3, ff_hidden=4, seed=7)
@@ -377,6 +377,14 @@ class TestForward:
         with pytest.raises(ad.ShapeError):
             model.forward(rng.normal(size=(3, 60, 1)))
 
+    @pytest.mark.parametrize("shape", [(), (64,), (1, 1, 64, 1), (64, 2)],
+                             ids=["0d", "1d", "4d", "channels"])
+    def test_every_malformed_shape_is_shape_error(self, shape):
+        model = TimeMixerModel(ModelConfig())
+        with pytest.raises(ad.ShapeError,
+                           match=r"expected \(64, 1\) or \(batch, 64, 1\)"):
+            model.forward(np.ones(shape))
+
     @pytest.mark.parametrize("cfg", [ModelConfig(), ModelConfig(channels=3)],
                              ids=["default", "C3"])
     def test_single_window_equals_its_row_of_a_batch(self, cfg):
@@ -457,6 +465,119 @@ class TestPredictNormalized:
         assert not np.shares_memory(first, second)
         assert first.tobytes() == second.tobytes()
 
+    def test_forward_reuses_one_chunk_workspace_across_calls(self, rng):
+        # a model serving batches cuts its k-window chunk buffers once; a
+        # shorter last chunk, or a failed call, adds none to them
+        model = TimeMixerModel(ModelConfig())
+        k = _chunk_windows(model.config)
+        x = rng.normal(size=(3 * k + 2, 64, 1))
+        expected = model.forward(x)
+        lent = [b for _, b in model._forward_pool._lent]
+        assert lent
+        bad = x.copy()
+        bad[k + 1, 5, 0] = np.nan
+        with pytest.raises(ad.NumericError):
+            model.forward(bad)
+        assert ad._workspace() is ad._FRESH
+        for n in (3 * k + 2, 2 * k + 5, k + 1):
+            assert model.forward(x[:n]).tobytes() == expected[:n].tobytes()
+            assert model.predict_normalized(instance_normalize(x[:n])[0]) \
+                .shape == (n, 12)
+        pooled = [b for free in model._forward_pool._free.values()
+                  for b in free] + [b for _, b in model._forward_pool._lent]
+        assert sorted(map(id, pooled)) == sorted(map(id, lent))
+
+
+def write_adam_step(model, rng):
+    x = rng.normal(size=(3, 64, 1))
+    tape = Tape()
+    with tape:
+        loss = mse_loss(model.forward_normalized(x),
+                        Tensor(rng.normal(size=(3, 12))))
+    ad.backward(loss, tape)
+    Adam(model, learning_rate=1e-2).step()
+
+
+def write_restore(model, rng):
+    model.flat[...] = TimeMixerModel(ModelConfig(seed=99)).flat
+
+
+def write_in_place(model, rng):
+    model.params["block1.top_down0.b"].values[...] = rng.normal(size=64)
+
+
+def write_by_assignment(model, rng):
+    model.params["head.pred2.W"].values = rng.normal(size=(16, 12))
+
+
+def write_one_element(model, rng):
+    # as ``conftest.finite_diff_check`` perturbs one element
+    model.params["block0.bottom_up3.W"].values.ravel()[5] += 1e-5
+
+
+class TestWeightsOnlyCache:
+    """A no-tape forward reuses each block's time map and the stacked head
+    while the weights they depend on are unchanged."""
+
+    @pytest.mark.parametrize("write", [
+        write_adam_step, write_restore, write_in_place, write_by_assignment,
+        write_one_element], ids=lambda f: f.__name__[len("write_"):])
+    def test_forward_after_a_write_equals_a_fresh_models(self, rng, write):
+        model = TimeMixerModel(ModelConfig())
+        x = rng.normal(size=(5, 64, 1))
+        before = model.forward_normalized(x).values
+        write(model, rng)
+        fresh = TimeMixerModel(ModelConfig())
+        fresh.flat[...] = model.flat
+        after = model.forward_normalized(x).values
+        assert after.tobytes() == fresh.forward_normalized(x).values.tobytes()
+        assert after.tobytes() != before.tobytes()
+
+    def test_first_chunked_call_matches_the_tape(self, rng):
+        # the maps are first built inside the chunk loop's workspace
+        model = TimeMixerModel(ModelConfig())
+        x = rng.normal(size=(2 * _chunk_windows(model.config) + 3, 64, 1))
+        chunked = model.predict_normalized(x)
+        single = model.predict_normalized(x[4:5])
+        with Tape():
+            want = model.forward_normalized(x).values
+        assert chunked.tobytes() == want.tobytes()
+        assert single.tobytes() == want[4:5].tobytes()
+
+    def test_kept_maps_outlive_the_workspace_they_were_built_in(self, rng):
+        model = TimeMixerModel(ModelConfig(seed=1))
+        other = TimeMixerModel(ModelConfig(seed=2))
+        x = rng.normal(size=(2, 64, 1))
+        with ad.Workspace() as pool:
+            model.forward_normalized(x)
+            pool.reset()
+            other.forward_normalized(x)     # takes the same buffers
+        with Tape():
+            want = model.forward_normalized(x).values
+        assert model.forward_normalized(x).values.tobytes() == want.tobytes()
+
+    def test_builds_once_per_weight_state(self, rng, monkeypatch):
+        calls = {"cascade": 0, "concat": 0}
+        for name in calls:
+            def counted(*args, _op=getattr(ad, name), _name=name):
+                calls[_name] += 1
+                return _op(*args)
+            monkeypatch.setattr(ad, name, counted)
+        model = TimeMixerModel(ModelConfig())
+        x = rng.normal(size=(2, 64, 1))
+        model.forward_normalized(x)
+        assert calls == {"cascade": 2, "concat": 1}
+        model.forward_normalized(x)
+        assert calls == {"cascade": 2, "concat": 1}
+        model.params["block0.bottom_up2.W"].values[1, 2] += 0.5
+        model.forward_normalized(x)
+        assert calls == {"cascade": 3, "concat": 1}
+        tape = Tape()
+        with tape:
+            model.forward_normalized(x)
+        assert calls == {"cascade": 5, "concat": 2}
+        assert len(tape) == 17
+
 
 class TestGradients:
     def test_end_to_end_tiny_model(self, rng):
@@ -493,6 +614,25 @@ class TestCheckpoint:
         loaded = TimeMixerModel.load(path)
         assert loaded.config == model.config
         assert np.array_equal(loaded.forward(x), before)
+
+    def test_assigned_values_round_trip(self, tmp_path, rng):
+        model = TimeMixerModel(TINY)
+        new = {name: rng.normal(size=t.shape)
+               for name, t in model.params.items()}
+        for name, values in new.items():
+            model.params[name].values = values
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+        loaded = TimeMixerModel.load(path)
+        for name, values in new.items():
+            assert loaded.params[name].values.tobytes() == values.tobytes()
+
+    def test_wrong_shape_assignment_is_parameter_error(self):
+        model = TimeMixerModel(TINY)
+        before = model.flat.copy()
+        with pytest.raises(ad.ParameterError, match=r"\(1,\).*\(2,\)"):
+            model.params["out.b"].values = np.array([5.0, 6.0])
+        assert model.flat.tobytes() == before.tobytes()
 
     def test_checkpoint_from_per_scale_model_matches_reference(self):
         # tiny_v1.ckpt was written by ``save`` of the per-scale model that
