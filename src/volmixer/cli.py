@@ -171,7 +171,11 @@ def _load_cached(config: RunConfig, entry) -> market_data.OhlcvSeries:
     if not path.exists():
         raise FetchError(f"{entry.ticker}: no cached data at {path}; "
                          f"run 'fetch' first")
-    return parse_ohlcv_csv(path.read_bytes(), ticker=entry.ticker)
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise FetchError(f"{entry.ticker}: cannot read {path}: {exc}") from exc
+    return parse_ohlcv_csv(raw, ticker=entry.ticker)
 
 
 def _prepare_dataset(config: RunConfig, features, horizon: int):

@@ -141,15 +141,24 @@ def records_to_csv(records: Sequence[MetricsRecord]) -> str:
 
 
 def records_from_csv(text: str) -> list[MetricsRecord]:
-    lines = [ln for ln in text.strip().split("\n") if ln]
-    if not lines or lines[0] != CSV_HEADER:
+    """Read ``metrics.csv``; a malformed record raises ``EvaluationError``
+    naming its line."""
+    lines = text.strip().split("\n")
+    if lines[0] != CSV_HEADER:
         raise EvaluationError(f"expected header '{CSV_HEADER}'")
+    # the line number of lines[0], past any blank lines strip() removed
+    first = text[:len(text) - len(text.lstrip())].count("\n") + 1
     records = []
-    for line in lines[1:]:
-        ticker, horizon, v_mae, v_mse, v_rmse, n = line.split(",")
-        records.append(MetricsRecord(ticker=ticker, horizon=int(horizon),
-                                     mae=float(v_mae), mse=float(v_mse),
-                                     rmse=float(v_rmse), n_samples=int(n)))
+    for lineno, line in enumerate(lines[1:], start=first + 1):
+        if not line:
+            continue
+        try:
+            ticker, horizon, v_mae, v_mse, v_rmse, n = line.split(",")
+            records.append(MetricsRecord(
+                ticker=ticker, horizon=int(horizon), mae=float(v_mae),
+                mse=float(v_mse), rmse=float(v_rmse), n_samples=int(n)))
+        except (ValueError, EvaluationError) as exc:
+            raise EvaluationError(f"line {lineno}: {exc}") from exc
     return records
 
 

@@ -213,7 +213,9 @@ def parse_ohlcv_csv(text, ticker: str = "") -> OhlcvSeries:
 
     Raises ``FormatError`` for undecodable bytes or a malformed line and
     ``ValidationError`` for a line whose price breaks the price rule or rows
-    that break the series invariants.
+    that break the series invariants. ``_csv_rows``, the per-line
+    reference, takes what ``_csv_columns``, which converts whole columns,
+    does not.
     """
     if isinstance(text, bytes):
         try:
@@ -221,6 +223,53 @@ def parse_ohlcv_csv(text, ticker: str = "") -> OhlcvSeries:
         except UnicodeDecodeError as exc:
             raise FormatError(f"{ticker}: cache is not UTF-8 text: "
                               f"{exc.reason}", offset=exc.start) from exc
+    series = _csv_columns(text, ticker)
+    return _csv_rows(text, ticker) if series is None else series
+
+
+# each line's separators; the first 11 bytes of a line lie in [form,
+# form + span): a YYYY-MM-DD date's digits and dashes, then a comma
+_LINE_SEPARATORS = np.frombuffer(b",,,,,\n", np.uint8)
+_DATE_FORM = np.frombuffer(b"0000-00-00,", np.uint8)
+_DATE_SPAN = np.array([10, 10, 10, 10, 1, 10, 10, 1, 10, 10, 1], np.uint8)
+
+
+def _csv_columns(text: str, ticker: str) -> Optional[OhlcvSeries]:
+    """The series of LF-ended lines of five commas, each opening with a
+    ``YYYY-MM-DD`` date from year 1 on, with one NumPy call a column; None
+    for other text, a value NumPy cannot convert or a price rule broken."""
+    start = len(CSV_HEADER) + 1
+    if not text.startswith(CSV_HEADER + "\n"):
+        return None
+    raw = text.encode("utf-8", "surrogatepass")
+    body = np.frombuffer(raw, np.uint8)[start:]
+    seps = np.flatnonzero((body == 10) | (body == 44))
+    n = len(seps) // 6
+    if (len(seps) != 6 * n or (seps[-1] + 1 if n else 0) != len(body)
+            or not (body[seps].reshape(n, 6) == _LINE_SEPARATORS).all()):
+        return None
+    line_starts = np.concatenate(([0], seps[5::6] + 1))[:n]
+    heads = body.take(line_starts[:, None] + np.arange(11), mode="clip")
+    if not (heads - _DATE_FORM < _DATE_SPAN).all():
+        return None
+    fields = text[start:].replace("\n", ",").split(",")
+    try:
+        days = np.array(fields[0:-1:6], dtype="datetime64[D]")
+        prices = [np.array(fields[k:-1:6], dtype=np.float64)
+                  for k in range(1, 5)]
+        volume = np.array(fields[5:-1:6], dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+    # NumPy reads year 0, which date.fromisoformat rejects
+    if not ((days >= np.datetime64("0001-01-01")).all()
+            and _valid_price(np.stack(prices)).all()):
+        return None
+    return OhlcvSeries(ticker, days, *prices, volume)
+
+
+def _csv_rows(text: str, ticker: str) -> OhlcvSeries:
+    """``parse_ohlcv_csv`` one line at a time: the reference for every
+    accepted value and every error message."""
     lines = text.split("\n")
     if not lines or lines[0].strip("\r") != CSV_HEADER:
         raise FormatError(f"expected header '{CSV_HEADER}', got "
@@ -276,6 +325,8 @@ def parse_chart_json(payload, ticker: str) -> FetchResult:
     tolerated and sorted; duplicate days are an error. Raises
     ``FormatError`` for a malformed document, ``EmptyDataError`` when no
     row survives and ``ValidationError`` when rows break series invariants.
+    ``_chart_rows``, the per-row reference, takes what ``_chart_columns``,
+    which converts whole columns, does not.
     """
     if isinstance(payload, (str, bytes)):
         try:
@@ -298,6 +349,56 @@ def parse_chart_json(payload, ticker: str) -> FetchResult:
         raise FormatError(f"{ticker}: 'quote' is not an object")
     if not timestamps:
         raise EmptyDataError(f"{ticker}: no data points in response")
+    result = _chart_columns(timestamps, quote, ticker)
+    return _chart_rows(timestamps, quote, ticker) if result is None else result
+
+
+# the timestamps that datetime.fromtimestamp maps to years 1 to 9999
+_TIMESTAMP_RANGE = (-62135596800, 253402300799)
+
+
+def _chart_columns(timestamps: list, quote: dict,
+                   ticker: str) -> Optional[FetchResult]:
+    """The result for int timestamps of years 1 to 9999 and five quote lists
+    of numbers and nulls (no NaN) that keep a row, with one NumPy call a
+    column; None for any other document or a value NumPy cannot convert."""
+    n = len(timestamps)
+    columns = [quote.get(key) for key in (*PRICE_COLUMNS, "volume")]
+    if not all(isinstance(column, list) for column in columns):
+        return None
+    lo, hi = _TIMESTAMP_RANGE
+    try:
+        stamps = np.array(timestamps)
+        values = np.array(columns, dtype=np.float64)    # null reads as NaN
+        if (stamps.dtype != np.int64 or stamps.shape != (n,)
+                or values.shape != (5, n)
+                or not ((stamps >= lo) & (stamps <= hi)).all()):
+            return None
+        missing = np.isnan(values)
+        # loops over the NaN entries alone: each must be a null, not a NaN
+        if any(columns[k][i] is not None
+               for k, i in np.argwhere(missing).tolist()):
+            return None
+        volume = columns[4].copy()
+        for i in np.flatnonzero(missing[4]).tolist():
+            volume[i] = 0
+        volume = np.array(volume, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    kept = np.flatnonzero(~missing.any(axis=0))
+    if not len(kept):
+        return None
+    days = stamps[kept] // 86400
+    order = np.argsort(days, kind="stable")
+    kept = kept[order]
+    series = OhlcvSeries(ticker, days[order].astype("datetime64[D]"),
+                         *values[:4, kept], volume[kept])
+    return FetchResult(series, n - len(kept))
+
+
+def _chart_rows(timestamps: list, quote: dict, ticker: str) -> FetchResult:
+    """``parse_chart_json`` one row at a time: the reference for every
+    accepted value and every error message."""
     n = len(timestamps)
     columns = []
     for key in ("open", "high", "low", "close", "volume"):
@@ -344,7 +445,11 @@ def fetch_ohlcv(ticker: str, start: date, end: date, endpoint: str,
         path = Path(fixtures_dir) / f"{ticker}.json"
         if not path.exists():
             raise FetchError(f"{ticker}: no fixture at {path}")
-        result = parse_chart_json(path.read_bytes(), ticker)
+        try:
+            payload = path.read_bytes()
+        except OSError as exc:
+            raise FetchError(f"{ticker}: cannot read {path}: {exc}") from exc
+        result = parse_chart_json(payload, ticker)
     else:
         import requests
 

@@ -109,6 +109,16 @@ class TestFetch:
             == ["BETA"]
         assert "ALPHA: FAILED" in capsys.readouterr().err
 
+    def test_unreadable_fixture_does_not_abort_fetch(self, workspace,
+                                                     capsys):
+        tmp, config, fixtures = workspace
+        (fixtures / "ALPHA.json").unlink()
+        (fixtures / "ALPHA.json").mkdir()
+        assert run_cli(config, "fetch", "--fixtures", str(fixtures)) == 3
+        assert [p.name.split("_")[0] for p in (tmp / "data").glob("*.csv")] \
+            == ["BETA"]
+        assert "ALPHA: FAILED (ALPHA: cannot read" in capsys.readouterr().err
+
     def test_empty_roster_is_validation_error(self, workspace):
         tmp, config, fixtures = workspace
         (tmp / "roster.json").write_text("[]")
@@ -276,6 +286,32 @@ class TestPipeline:
         assert (out / "ALPHA_F4.ckpt").exists()
         assert (out / "ALPHA_F4.svg").exists()
         assert (out / "report.md").exists()
+
+    def test_unreadable_cache_fails_only_its_ticker(self, workspace):
+        tmp, config, fixtures = workspace
+        assert run_cli(config, "fetch", "--fixtures", str(fixtures)) == 0
+        (alpha,) = (tmp / "data").glob("ALPHA_*.csv")
+        alpha.unlink()
+        alpha.mkdir()
+        assert run_cli(config, "run") == 3
+        manifest = json.loads((tmp / "out" / "manifest.json").read_text())
+        assert [f["ticker"] for f in manifest["failures"]] == ["ALPHA"]
+        assert "cannot read" in manifest["failures"][0]["error"]
+        csv = (tmp / "out" / "metrics.csv").read_text()
+        assert "BETA," in csv and "ALPHA" not in csv
+
+    def test_report_names_the_line_of_a_truncated_metrics_csv(
+            self, workspace, capsys):
+        tmp, config, fixtures = workspace
+        (tmp / "out").mkdir()
+        (tmp / "out" / "metrics.csv").write_text(
+            "ticker,horizon,mae,mse,rmse,n_samples\n"
+            "ALPHA,4,0.1,0.01,0.1,7\n"
+            "BETA,4,0.1\n")
+        assert run_cli(config, "report") == 2
+        assert "error: line 3: not enough values to unpack" \
+            in capsys.readouterr().err
+        assert not (tmp / "out" / "report.md").exists()
 
     def test_git_timeout_falls_back_to_package_version(self, workspace,
                                                        monkeypatch):

@@ -107,6 +107,19 @@ class TestReports:
         back = ev.records_from_csv(text)
         assert ev.records_to_csv(back) == text
 
+    @pytest.mark.parametrize("record, message", [
+        ("AAPL,12,0.01,0.0001", r"line 5: not enough values to unpack"),
+        ("AAPL,12,x,0.0001,0.01,7", "line 5: could not convert string to "
+                                    "float: 'x'"),
+        ("AAPL,12,0.01,0.0001,0.01,7.5", "line 5: invalid literal for int"),
+        ("AAPL,12,0.01,0.0001,0.5,7", r"line 5: rmse 0.5 != sqrt"),
+    ], ids=["short", "non_numeric", "fractional_count", "inconsistent"])
+    def test_malformed_csv_record_names_its_line(self, record, message):
+        # a blank line before the header still counts
+        text = "\n" + ev.records_to_csv(self.records()[:2]) + record + "\n"
+        with pytest.raises(ev.EvaluationError, match=message):
+            ev.records_from_csv(text)
+
     def test_markdown_layout(self):
         md = ev.records_to_markdown(self.records())
         lines = md.strip().split("\n")

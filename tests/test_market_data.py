@@ -1,11 +1,13 @@
+import importlib.util
 import json
 import math
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
 import requests
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
@@ -14,6 +16,16 @@ from volmixer.market_data import (EmptyDataError, FormatError, LengthError,
                                   OhlcvSeries, SplitError, ValidationError)
 
 COLUMNS = ("days", "open", "high", "low", "close", "volume")
+FIXTURES_DIR = Path(FIXTURES)
+
+
+def _load_synth():
+    """perfbench's seeded chart-document generator, loaded from its file."""
+    path = Path(__file__).parent.parent / "perfbench" / "synth.py"
+    spec = importlib.util.spec_from_file_location("perfbench_synth", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def series_of(closes, start_ordinal=738000):
@@ -234,6 +246,265 @@ class TestChartParsing:
             md.parse_chart_json(payload, "X")
         except (FormatError, EmptyDataError, ValidationError):
             pass
+
+
+def outcome(parse, *args):
+    """What ``parse(*args)`` returns, or the type and message it raises."""
+    try:
+        return parse(*args)
+    except (FormatError, ValidationError, EmptyDataError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    if isinstance(want, md.FetchResult):
+        assert got.dropped_rows == want.dropped_rows
+        got, want = got.series, want.series
+    assert_same_columns(got, want)
+
+
+# each edit changes the lines of a serialized series, the header first
+def _edit_field(column, values):
+    def edit(lines, data):
+        row = data.draw(st.integers(1, len(lines) - 1))
+        fields = lines[row].split(",")
+        if len(fields) > column:
+            fields[column] = data.draw(values(fields[column]))
+        lines[row] = ",".join(fields)
+    return edit
+
+
+def _move_last_field(lines, data):
+    # one line loses its volume and the next gains it in front of its date,
+    # which keeps the file's comma count
+    if len(lines) > 2:
+        row = data.draw(st.integers(1, len(lines) - 2))
+        head, last = lines[row].rsplit(",", 1)
+        lines[row:row + 2] = [head, f"{last},{lines[row + 1]}"]
+
+
+def _swap_lines(lines, data):
+    a, b = (data.draw(st.integers(1, len(lines) - 1)) for _ in range(2))
+    lines[a], lines[b] = lines[b], lines[a]
+
+
+def _insert_line(make):
+    def edit(lines, data):
+        row = data.draw(st.integers(1, len(lines)))
+        lines.insert(row, make(lines, data))
+    return edit
+
+
+def _price(make):
+    return _edit_field(4, lambda old: make)
+
+
+def _end_line(lines, data):
+    row = data.draw(st.integers(0, len(lines) - 1))
+    lines[row] += data.draw(st.sampled_from(["\r", " ", "\t"]))
+
+
+CSV_EDITS = {
+    "line_end": _end_line,
+    "blank_line": _insert_line(lambda lines, data: data.draw(
+        st.sampled_from(["", "  ", "\r"]))),
+    "padded_field": lambda lines, data: _edit_field(
+        data.draw(st.integers(0, 5)),
+        lambda old: st.sampled_from([f" {old}", f"{old} "]))(lines, data),
+    "basic_date": _edit_field(0, lambda old: st.just(old.replace("-", ""))),
+    "year_zero": _edit_field(0, lambda old: st.just("0000" + old[4:])),
+    "signed_year": _edit_field(0, lambda old: st.just("+" + old[1:])),
+    "not_a_day": _edit_field(0, lambda old: st.sampled_from(
+        ["2021-02-29", "2020-13-01", "2020-00-10", "NaT", "2020-01-02T00"])),
+    "non_finite": _price(st.sampled_from(["nan", "inf", "-inf", "NaN"])),
+    "underscore": _price(st.just("1_000.5")),
+    "unicode_digits": _price(st.just("١٢.5")),
+    "nonpositive": _price(st.sampled_from(["0", "-1.5", "5e-324", "1e-400"])),
+    "big_volume": _edit_field(5, lambda old: st.sampled_from(
+        [str(2 ** 63), str(-2 ** 63 - 1), str(2 ** 63 - 1)])),
+    "negative_volume": _edit_field(5, lambda old: st.just("-5")),
+    "float_volume": _edit_field(5, lambda old: st.just("5.0")),
+    "moved_field": _move_last_field,
+    "swapped_lines": _swap_lines,
+    "repeated_line": _insert_line(lambda lines, data: lines[
+        data.draw(st.integers(1, len(lines) - 1))]),
+    "no_final_newline": lambda lines, data: lines.pop(),
+}
+
+
+@st.composite
+def edited_csv(draw):
+    series = draw(valid_series(min_size=1))
+    lines = md.serialize_ohlcv_csv(series).split("\n")
+    for name in draw(st.lists(st.sampled_from(sorted(CSV_EDITS)),
+                              max_size=3)):
+        if len(lines) > 1:      # the header and at least one more line
+            CSV_EDITS[name](lines, draw(st.data()))
+    return "\n".join(lines)
+
+
+_OUT_OF_RANGE = [253402300800, -62135596801, 10 ** 12, -10 ** 12, 2 ** 63,
+                 2 ** 64]
+
+
+def _chart_edit(key, values, drop=False):
+    """Set one entry of ``key`` (a quote column, or "timestamp") to a drawn
+    value; with ``drop``, also null that row's close."""
+    def edit(ts, quote, data):
+        column = ts if key == "timestamp" else quote[key]
+        row = data.draw(st.integers(0, len(ts) - 1))
+        column[row] = data.draw(values(column[row]))
+        if drop:
+            quote["close"][row] = None
+    return edit
+
+
+CHART_EDITS = {
+    "nan_price": _chart_edit("close", lambda old: st.just(math.nan)),
+    "nan_volume": _chart_edit("volume", lambda old: st.just(math.nan)),
+    "float_timestamp": _chart_edit("timestamp", lambda old: st.sampled_from(
+        [float(old), old + 0.5])),
+    "str_timestamp": _chart_edit("timestamp", lambda old: st.just(str(old))),
+    "bool_timestamp": _chart_edit("timestamp", lambda old: st.booleans()),
+    "timestamp_rounding_to_next_day": _chart_edit(
+        "timestamp", lambda old: st.just(old // 86400 * 86400 + 86399.9999996)),
+    "out_of_range_kept": _chart_edit(
+        "timestamp", lambda old: st.sampled_from(_OUT_OF_RANGE)),
+    "out_of_range_dropped": _chart_edit(
+        "timestamp", lambda old: st.sampled_from(_OUT_OF_RANGE), drop=True),
+    "str_volume": _chart_edit("volume", lambda old: st.sampled_from(
+        [str(old), f" {old}", "1.7", "x"])),
+    "float_volume": _chart_edit("volume", lambda old: st.sampled_from(
+        [old + 0.7, -0.5, float(old), math.inf])),
+    "bool_volume": _chart_edit("volume", lambda old: st.booleans()),
+    "big_volume": _chart_edit("volume", lambda old: st.sampled_from(
+        [2 ** 63, -2 ** 63 - 1, 2 ** 64, 10 ** 400])),
+    "big_volume_dropped": _chart_edit("volume", lambda old: st.just(2 ** 63),
+                                      drop=True),
+    "str_price": _chart_edit("open", lambda old: st.sampled_from(
+        [repr(old), "1_000.5", "nan", " 2.5", "x"])),
+    "bool_price": _chart_edit("high", lambda old: st.booleans()),
+    "big_price": _chart_edit("low", lambda old: st.sampled_from(
+        [2 ** 64, 10 ** 400])),
+    "nested_price": _chart_edit("low", lambda old: st.just([old])),
+    "nonpositive_price": _chart_edit("close", lambda old: st.sampled_from(
+        [0.0, -1.5, math.inf])),
+    "negative_volume": _chart_edit("volume", lambda old: st.just(-5)),
+    "missing_column": lambda ts, quote, data: quote.pop(
+        data.draw(st.sampled_from(sorted(quote)))),
+}
+
+
+@st.composite
+def edited_chart(draw):
+    """A chart document's timestamps and quote: days unsorted, maybe
+    repeated, some fields null, then up to three edits."""
+    n = draw(st.integers(1, 12))
+    ordinals = draw(st.lists(st.integers(737_000, 737_030), min_size=n,
+                             max_size=n, unique=draw(st.booleans())))
+    ts = [(o - md._EPOCH_ORDINAL) * 86400 + draw(st.integers(0, 86399))
+          for o in ordinals]
+    price = st.floats(1e-3, 1e6)
+    quote = {key: draw(st.lists(price, min_size=n, max_size=n))
+             for key in md.PRICE_COLUMNS}
+    quote["volume"] = draw(st.lists(st.integers(0, 2 ** 62), min_size=n,
+                                    max_size=n))
+    for key, row in draw(st.sets(st.tuples(st.sampled_from(sorted(quote)),
+                                           st.integers(0, n - 1)),
+                                 max_size=3)):
+        quote[key][row] = None
+    names = draw(st.lists(st.sampled_from(sorted(CHART_EDITS)), max_size=3))
+    for name in sorted(names, key=lambda name: name == "missing_column"):
+        CHART_EDITS[name](ts, quote, draw(st.data()))
+    return ts, quote
+
+
+class TestColumnPaths:
+    """The column-at-a-time parsers against the per-row reference."""
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(edited_csv())
+    def test_csv_matches_per_line_reference(self, text):
+        want = outcome(md._csv_rows, text, "P")
+        assert_same_outcome(outcome(md.parse_ohlcv_csv, text, "P"), want)
+        assert_same_outcome(outcome(md.parse_ohlcv_csv, text.encode(), "P"),
+                            want)
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(edited_chart())
+    def test_chart_matches_per_row_reference(self, document):
+        ts, quote = document
+        payload = {"chart": {"result": [{"timestamp": ts, "indicators": {
+            "quote": [quote]}}]}}
+        assert_same_outcome(outcome(md.parse_chart_json, payload, "X"),
+                            outcome(md._chart_rows, ts, quote, "X"))
+
+    @pytest.mark.parametrize("text", [
+        "2020-01-02,1,2,3,4\n5,2020-01-03,1,2,3,4,5\n",
+        "2020-01-02,1,2,3,4,5,2020-01-03,1,2,3,4\n5\n",
+    ], ids=["moved_volume", "merged_lines"])
+    def test_csv_lines_with_compensating_commas_are_rejected(self, text):
+        # the file holds five commas a line on average, but not on each line
+        with pytest.raises(FormatError, match="line 2: expected 6 fields"):
+            md.parse_ohlcv_csv(f"{md.CSV_HEADER}\n{text}", "X")
+
+    @pytest.mark.parametrize("nest", ["timestamp", "quote"])
+    def test_chart_nested_values_follow_reference(self, nest):
+        # NumPy reads equal-length nested lists as one more axis
+        ts = [[86400], [172800]] if nest == "timestamp" else [86400, 172800]
+        value = [[1.5], [1.5]] if nest == "quote" else [1.5, 1.5]
+        quote = {key: value for key in (*md.PRICE_COLUMNS, "volume")}
+        payload = {"chart": {"result": [{"timestamp": ts, "indicators": {
+            "quote": [quote]}}]}}
+        want = outcome(md._chart_rows, ts, quote, "X")
+        assert want[0] is FormatError
+        assert outcome(md.parse_chart_json, payload, "X") == want
+
+    def test_next_day_rounding_follows_fromtimestamp(self):
+        # floor division would keep this stamp on 1970-01-01
+        payload = chart_payload(["1970-01-02"], {
+            "open": [1], "high": [2], "low": [0.5], "close": [1.5],
+            "volume": [10]})
+        payload["chart"]["result"][0]["timestamp"] = [86399.9999996]
+        result = md.parse_chart_json(payload, "X")
+        assert result.series.days.tolist() == [date(1970, 1, 2)]
+
+
+class TestColumnPathTaken:
+    """Canonical inputs never reach the per-row code."""
+
+    @pytest.fixture(autouse=True)
+    def per_row_refused(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("per-row path taken")
+        monkeypatch.setattr(md, "_csv_rows", refuse)
+        monkeypatch.setattr(md, "_chart_rows", refuse)
+
+    def test_aapl_fixture(self):
+        text = (FIXTURES_DIR / "AAPL_2010_2023.csv").read_text()
+        assert len(md.parse_ohlcv_csv(text, "AAPL")) == 3650
+        assert len(md.parse_ohlcv_csv(text.encode(), "AAPL")) == 3650
+
+    @settings(derandomize=True, deadline=None, max_examples=100,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(valid_series())
+    def test_every_serialized_series(self, series):
+        parsed = md.parse_ohlcv_csv(md.serialize_ohlcv_csv(series), "P")
+        assert_same_columns(parsed, series)
+
+    def test_synthetic_chart_documents(self):
+        synth = _load_synth()
+        days = synth.business_days_back(synth.END, 2 * synth.DROP_EVERY)
+        for i, (ticker, _, alpha, beta) in enumerate(synth.TICKERS):
+            payload = synth.chart_json(np.random.default_rng([1, i]), days,
+                                       alpha, beta)
+            result = md.parse_chart_json(json.dumps(payload), ticker)
+            assert result.dropped_rows == 2
+            assert len(result.series) == len(days) - 2
+
 
 class TestFetch:
     def test_fixture_fetch_aapl_span(self, tmp_path):
