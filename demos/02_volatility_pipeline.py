@@ -16,12 +16,11 @@ series = md.parse_ohlcv_csv(FIXTURE.read_text(), "AAPL")
 print(f"{series.ticker}: {len(series)} daily bars, "
       f"{series.days[0]} .. {series.days[-1]}")
 
-vol = md.volatility_series(series)
-print(f"volatility series: {vol.sigma.size} points, "
-      f"min {vol.sigma.min():.3f}, mean {vol.sigma.mean():.3f}, "
-      f"max {vol.sigma.max():.3f} (annualized, 21-day window)")
-
 values, dates = md.feature_matrix(series)
+sigma = values[:, 0]    # channel 0, the forecast target
+print(f"volatility series: {sigma.size} points, "
+      f"min {sigma.min():.3f}, mean {sigma.mean():.3f}, "
+      f"max {sigma.max():.3f} (annualized, 21-day window)")
 lookback, horizon = 64, 12
 ds = md.split_chronological(md.make_windows(values, lookback, horizon))
 for name, (lo, hi) in [("train", ds.train_range), ("val", ds.val_range),

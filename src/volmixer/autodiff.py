@@ -67,19 +67,16 @@ _FRESH = _Fresh()
 class Tensor:
     """Dense float64 array with an optional accumulated gradient.
 
-    ``grad_buffer``, if given, is the array that the first gradient is
-    copied into and later ones are added to, so ``grad`` is that array once
-    the tensor is reached (a model's parameters keep theirs in one vector).
+    Its ``grad_buffer`` is None; only a ``Parameter`` binds one.
     """
 
     __slots__ = ("values", "requires_grad", "grad", "grad_buffer")
 
-    def __init__(self, values, requires_grad: bool = False,
-                 grad_buffer: Optional[np.ndarray] = None):
+    def __init__(self, values, requires_grad: bool = False):
         self.values = np.asarray(values, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: Optional[np.ndarray] = None
-        self.grad_buffer = grad_buffer
+        self.grad_buffer: Optional[np.ndarray] = None
 
     @property
     def shape(self) -> tuple:
@@ -92,15 +89,15 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def _accumulate(self, g: np.ndarray, owned: bool = False,
-                    ws: "Workspace | _Fresh" = _FRESH) -> None:
+    def _accumulate(self, g: np.ndarray,
+                    copy_from: "Workspace | _Fresh | None" = None) -> None:
         """Add ``g`` into ``grad``.
 
-        ``owned`` says that the caller hands ``g`` over and reads it no more
-        once this tensor's gradient can change, so a first gradient is taken
-        as it is. Any other ``g`` is copied first, into an array from ``ws``:
-        ``add`` hands its ``g`` over to one input and gives the other a copy,
-        since a later ``+=`` into one must not write into the other. A first
+        By default the caller hands ``g`` over and reads it no more once
+        this tensor's gradient can change, so a first gradient is taken as
+        it is. A caller whose ``g`` is still read elsewhere passes
+        ``copy_from``, the workspace a first gradient is copied into, since
+        a later ``+=`` into ``grad`` must not write into ``g``. A first
         gradient is copied into ``grad_buffer`` when there is one, not added
         to it, so its signed zeros keep their bytes.
         """
@@ -109,10 +106,10 @@ class Tensor:
         elif self.grad_buffer is not None:
             self.grad = self.grad_buffer
             np.copyto(self.grad, g)
-        elif owned:
+        elif copy_from is None:
             self.grad = g
         else:
-            self.grad = ws.empty(g.shape)
+            self.grad = copy_from.empty(g.shape)
             np.copyto(self.grad, g)
 
     def __repr__(self) -> str:
@@ -137,7 +134,10 @@ class Parameter(Tensor):
 
     Assigning to ``values`` copies into that array, so whatever else reads
     the array sees the new values; an array of another shape raises
-    ``ParameterError``.
+    ``ParameterError``. ``grad_buffer``, if given, is the array that the
+    first gradient is copied into and later ones are added to, so ``grad``
+    is that array once the parameter is reached (a model's parameters keep
+    theirs in one vector).
     """
 
     __slots__ = ()
@@ -291,11 +291,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         # nothing reads this node's output gradient again, so the first input
         # served takes ``g`` itself and only the other one a copy
-        owned = True
-        for t in (a, b):
-            if t.requires_grad:
-                t._accumulate(g, owned=owned, ws=ws)
-                owned = False
+        if a.requires_grad:
+            a._accumulate(g)
+        if b.requires_grad:
+            b._accumulate(g, copy_from=ws if a.requires_grad else None)
 
     return _make(np.add(a.values, b.values, out=ws.empty(a.shape)), (a, b),
                  bwd, "add", ws)
@@ -308,10 +307,9 @@ def subtract(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a._accumulate(g, ws=ws)
+            a._accumulate(g, copy_from=ws)
         if b.requires_grad:
-            b._accumulate(np.negative(g, out=ws.empty(g.shape)), owned=True,
-                          ws=ws)
+            b._accumulate(np.negative(g, out=ws.empty(g.shape)))
 
     return _make(np.subtract(a.values, b.values, out=ws.empty(a.shape)),
                  (a, b), bwd, "subtract", ws)
@@ -325,11 +323,9 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a._accumulate(np.multiply(g, bv, out=ws.empty(g.shape)),
-                          owned=True, ws=ws)
+            a._accumulate(np.multiply(g, bv, out=ws.empty(g.shape)))
         if b.requires_grad:
-            b._accumulate(np.multiply(g, av, out=ws.empty(g.shape)),
-                          owned=True, ws=ws)
+            b._accumulate(np.multiply(g, av, out=ws.empty(g.shape)))
 
     return _make(np.multiply(av, bv, out=ws.empty(a.shape)), (a, b), bwd,
                  "multiply", ws)
@@ -343,7 +339,7 @@ def mean(x: Tensor) -> Tensor:
         if x.requires_grad:
             gx = ws.empty(x.shape)
             gx.fill(float(g) / n)
-            x._accumulate(gx, owned=True, ws=ws)
+            x._accumulate(gx)
 
     return _make(np.asarray(x.values.mean()), (x,), bwd, "mean", ws)
 
@@ -421,16 +417,14 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     def bwd(g):
         if x.requires_grad:
             x._accumulate(np.matmul(g, weight.values.T,
-                                    out=ws.empty(xv.shape)), owned=True, ws=ws)
+                                    out=ws.empty(xv.shape)))
         if weight.requires_grad:
             weight._accumulate(np.matmul(xv.reshape(-1, n_in).T,
                                          g.reshape(-1, n_out),
-                                         out=ws.empty((n_in, n_out))),
-                               owned=True, ws=ws)
+                                         out=ws.empty((n_in, n_out))))
         if bias is not None and bias.requires_grad:
             bias._accumulate(np.sum(_lead_sum(g, rows, n_out, ws), axis=0,
-                                    out=ws.empty((n_out,))),
-                             owned=True, ws=ws)
+                                    out=ws.empty((n_out,))))
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
     return _make(out_vals, inputs, bwd, "linear", ws)
@@ -476,7 +470,7 @@ def gelu(x: Tensor) -> Tensor:
             d *= 0.5
             d += s
             d *= g
-            x._accumulate(d, owned=True, ws=ws)
+            x._accumulate(d)
 
     return _make(out, (x,), bwd, "gelu", ws)
 
@@ -520,16 +514,15 @@ def time_linear(x: Tensor, a, bias: Optional[Tensor] = None,
             gx = np.matmul(av, g, out=ws.empty(xv.shape))
             if denom != 1.0:
                 gx /= denom
-            x._accumulate(gx, owned=True, ws=ws)
+            x._accumulate(gx)
         if learned and a.requires_grad:
             ga = _tensordot(xv, g, other, ws)
             if denom != 1.0:
                 ga /= denom
-            a._accumulate(ga, owned=True, ws=ws)
+            a._accumulate(ga)
         if bias is not None and bias.requires_grad:
             bias._accumulate(np.sum(_lead_sum(g, t_out, width, ws), axis=1,
-                                    out=ws.empty((t_out,))),
-                             owned=True, ws=ws)
+                                    out=ws.empty((t_out,))))
 
     inputs = (x,) + ((a,) if learned else ())
     inputs += (bias,) if bias is not None else ()
@@ -578,7 +571,7 @@ def segment_linear(x: Tensor, weights: Sequence[Tensor],
             gx = ws.empty(xv.shape)
             for w, (lo, hi) in zip(weights, bounds):
                 np.matmul(g[..., lo:hi, :], w.values.T, out=gx[..., lo:hi, :])
-            x._accumulate(gx, owned=True, ws=ws)
+            x._accumulate(gx)
         x3, g3 = xv.reshape(-1, rows, n_in), g.reshape(-1, rows, n_out)
         per_window = ws.empty((x3.shape[0], n_in, n_out))
         g_block = _lead_sum(g, rows, n_out, ws)
@@ -587,12 +580,10 @@ def segment_linear(x: Tensor, weights: Sequence[Tensor],
                 np.matmul(x3[:, lo:hi].transpose(0, 2, 1), g3[:, lo:hi],
                           out=per_window)
                 w._accumulate(np.sum(per_window, axis=0,
-                                     out=ws.empty((n_in, n_out))),
-                              owned=True, ws=ws)
+                                     out=ws.empty((n_in, n_out))))
             if b.requires_grad:
                 b._accumulate(np.sum(g_block[lo:hi], axis=0,
-                                     out=ws.empty((n_out,))),
-                              owned=True, ws=ws)
+                                     out=ws.empty((n_out,))))
 
     return _make(out_vals, (x, *weights, *biases), bwd, "segment_linear", ws)
 
@@ -679,10 +670,9 @@ def cascade(up_base: np.ndarray, up_weights: Sequence[Tensor],
             g_prod = g_up[:lo + 1, lo:hi]
             if w.requires_grad:
                 w._accumulate(np.matmul(up[:lo + 1, fine:lo].T, g_prod,
-                                        out=ws.empty(w.shape)),
-                              owned=True, ws=ws)
+                                        out=ws.empty(w.shape)))
             if b.requires_grad:
-                b._accumulate(g_prod[0], ws=ws)
+                b._accumulate(g_prod[0], copy_from=ws)
             back = np.matmul(g_prod, w.values.T,
                              out=ws.empty((lo + 1, lo - fine)))
             g_up[:lo + 1, fine:lo] += back
@@ -692,10 +682,9 @@ def cascade(up_base: np.ndarray, up_weights: Sequence[Tensor],
             g_prod = g_down[hi:, lo:hi]
             if w.requires_grad:
                 w._accumulate(np.matmul(down[hi:, hi:coarse].T, g_prod,
-                                        out=ws.empty(w.shape)),
-                              owned=True, ws=ws)
+                                        out=ws.empty(w.shape)))
             if b.requires_grad:
-                b._accumulate(g_prod[-1], ws=ws)
+                b._accumulate(g_prod[-1], copy_from=ws)
             back = np.matmul(g_prod, w.values.T,
                              out=ws.empty((total + 1 - hi, coarse - hi)))
             g_down[hi:, hi:coarse] += back
@@ -714,7 +703,7 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     def bwd(g):
         for p, (lo, hi) in zip(parts, bounds):
             if p.requires_grad:
-                p._accumulate(g[lo:hi], ws=ws)
+                p._accumulate(g[lo:hi], copy_from=ws)
 
     out = ws.empty((bounds[-1][1],) + parts[0].shape[1:])
     return _make(np.concatenate([p.values for p in parts], out=out), parts,
@@ -779,7 +768,7 @@ def transpose_last2(x: Tensor) -> Tensor:
 
     def bwd(g):
         if x.requires_grad:
-            x._accumulate(np.swapaxes(g, -1, -2), ws=ws)
+            x._accumulate(np.swapaxes(g, -1, -2), copy_from=ws)
 
     return _make(np.swapaxes(x.values, -1, -2), (x,), bwd, "transpose_last2",
                  ws)
@@ -791,6 +780,6 @@ def reshape(x: Tensor, shape) -> Tensor:
 
     def bwd(g):
         if x.requires_grad:
-            x._accumulate(g.reshape(old), ws=ws)
+            x._accumulate(g.reshape(old), copy_from=ws)
 
     return _make(x.values.reshape(shape), (x,), bwd, "reshape", ws)

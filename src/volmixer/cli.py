@@ -48,19 +48,19 @@ class RunConfig:
     data_dir: str = "data"
     out_dir: str = "out"
     endpoint: str = DEFAULT_ENDPOINT
-    lookback: int = 64
+    lookback: int = ModelConfig.lookback
     horizons: list[int] = field(default_factory=lambda: list(evaluation.HORIZONS))
     covariates: bool = False
-    d_model: int = 32
-    num_blocks: int = 2
-    num_scales: int = 3
-    decomp_kernel: int = 25
-    ff_hidden: int = 64
-    batch_size: int = 32
-    learning_rate: float = 1e-3
-    max_epochs: int = 300
-    patience: int = 15
-    seed: int = 0
+    d_model: int = ModelConfig.d_model
+    num_blocks: int = ModelConfig.num_blocks
+    num_scales: int = ModelConfig.num_scales
+    decomp_kernel: int = ModelConfig.decomp_kernel
+    ff_hidden: int = ModelConfig.ff_hidden
+    batch_size: int = TrainConfig.batch_size
+    learning_rate: float = TrainConfig.learning_rate
+    max_epochs: int = TrainConfig.max_epochs
+    patience: int = TrainConfig.patience
+    seed: int = ModelConfig.seed    # TrainConfig's seed too
 
     def validate(self) -> None:
         if not self.horizons or any(f < 1 for f in self.horizons):
@@ -185,10 +185,11 @@ def _prepare_dataset(config: RunConfig, features, horizon: int):
     return market_data.split_chronological(dataset)
 
 
-# recorded and stepped over: a ticker's load failure, then a pair's failure
+# recorded and stepped over: a ticker's load failure, then a pair's failure,
+# which includes an I/O error on one of the pair's artifacts
 LOAD_ERRORS = (FetchError, market_data.FormatError, market_data.ValidationError)
 PAIR_ERRORS = (TrainingError, market_data.LengthError, market_data.SplitError,
-               ConfigError, CheckpointError, NumericError)
+               ConfigError, CheckpointError, NumericError, OSError)
 
 
 def _record_failure(failures: list, exc: Exception, label: str, **where):
@@ -242,15 +243,15 @@ def cmd_fetch(config: RunConfig, fixtures=None) -> int:
     Path(config.data_dir).mkdir(parents=True, exist_ok=True)
     failures = []
     for entry in roster.entries:
+        path = cache_path(config.data_dir, entry.ticker, entry.start, entry.end)
         try:
             result = fetch_ohlcv(entry.ticker, entry.start, entry.end,
                                  config.endpoint, fixtures_dir=fixtures)
-        except LOAD_ERRORS + (EmptyDataError,) as exc:
+            write_atomic(path, serialize_ohlcv_csv(result.series))
+        except LOAD_ERRORS + (EmptyDataError, OSError) as exc:
             _record_failure(failures, exc, entry.ticker, ticker=entry.ticker)
             continue
         series = result.series
-        path = cache_path(config.data_dir, entry.ticker, entry.start, entry.end)
-        write_atomic(path, serialize_ohlcv_csv(series))
         print(f"{entry.ticker}: {len(series)} rows "
               f"({series.days[0]} .. {series.days[-1]}), "
               f"{result.dropped_rows} dropped -> {path}")

@@ -33,8 +33,11 @@ class MetricsRecord:
     n_samples: int
 
     def __post_init__(self):
-        if min(self.mae, self.mse, self.rmse) < 0:
-            raise EvaluationError("metrics must be nonnegative")
+        if self.horizon < 1 or self.n_samples < 1:
+            raise EvaluationError(f"horizon {self.horizon} and n_samples "
+                                  f"{self.n_samples} must be >= 1")
+        if not all(0 <= m < math.inf for m in (self.mae, self.mse, self.rmse)):
+            raise EvaluationError("metrics must be finite and nonnegative")
         if not math.isclose(self.rmse, math.sqrt(self.mse),
                             rel_tol=0, abs_tol=1e-12 * max(1.0, self.rmse)):
             raise EvaluationError(f"rmse {self.rmse} != sqrt(mse {self.mse})")

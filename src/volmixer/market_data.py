@@ -130,20 +130,6 @@ def _series_from_rows(ticker: str, rows: list[tuple]) -> OhlcvSeries:
     return OhlcvSeries(ticker, days, *prices, volume)
 
 
-@dataclass
-class VolatilitySeries:
-    """Annualized rolling volatility; one point per fully-covered window."""
-    ticker: str
-    dates: list[date]
-    sigma: np.ndarray
-
-    def __post_init__(self):
-        if len(self.dates) != len(self.sigma):
-            raise ValidationError("dates and sigma lengths differ")
-        if np.any(self.sigma < 0):
-            raise ValidationError("volatility must be nonnegative")
-
-
 # tickers name cache files and artifacts, and ':' marks baseline rows in
 # metrics.csv, so no '/', ',', ':' or leading '.': "^GSPC", "EURUSD=X", "BRK.B"
 _TICKER = re.compile(r"[A-Za-z0-9^][A-Za-z0-9^=._-]*")
@@ -498,31 +484,22 @@ def compute_log_returns(closes) -> np.ndarray:
     return np.diff(np.log(closes))
 
 
-def rolling_volatility(returns, window: int = DEFAULT_VOL_WINDOW,
-                       periods_per_year: int = TRADING_DAYS_PER_YEAR) -> np.ndarray:
-    """Annualized trailing-window sample standard deviation of returns.
+def rolling_volatility(returns) -> np.ndarray:
+    """Annualized trailing 21-day sample standard deviation of returns.
 
     Uses divisor n-1 (sample std, the realized-volatility convention) and
-    sqrt(periods_per_year) annualization. Output length is
-    len(returns) - window + 1.
+    sqrt(252) annualization. Output length is len(returns) - 20.
     """
     returns = np.asarray(returns, dtype=np.float64)
-    if window < 2:
-        raise ValidationError(f"window must be >= 2, got {window}")
-    if returns.size < window:
-        raise LengthError(f"need >= {window} returns, got {returns.size}")
-    windows = np.lib.stride_tricks.sliding_window_view(returns, window)
-    sigma = math.sqrt(periods_per_year) * windows.std(axis=-1, ddof=1)
+    if returns.size < DEFAULT_VOL_WINDOW:
+        raise LengthError(f"need >= {DEFAULT_VOL_WINDOW} returns, got "
+                          f"{returns.size}")
+    windows = np.lib.stride_tricks.sliding_window_view(returns,
+                                                       DEFAULT_VOL_WINDOW)
+    sigma = math.sqrt(TRADING_DAYS_PER_YEAR) * windows.std(axis=-1, ddof=1)
     # identical values must give exactly zero despite float cancellation
     sigma[np.ptp(windows, axis=-1) == 0] = 0.0
     return sigma
-
-
-def volatility_series(series: OhlcvSeries) -> VolatilitySeries:
-    """Annualized 21-day volatility of the closes, dated by window end."""
-    sigma = rolling_volatility(compute_log_returns(series.close))
-    return VolatilitySeries(series.ticker,
-                            series.days[DEFAULT_VOL_WINDOW:].tolist(), sigma)
 
 
 def feature_matrix(series: OhlcvSeries, covariates: bool = False

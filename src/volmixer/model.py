@@ -172,7 +172,7 @@ def _weights_only_group(name: str) -> str | None:
 
 
 def _frozen(t: Tensor) -> Tensor:
-    """A read-only copy of ``t``'s values, owned by no workspace."""
+    """A read-only copy of ``t``'s values, lent by no workspace."""
     values = np.array(t.values)
     values.setflags(write=False)
     return Tensor(values)
@@ -261,14 +261,6 @@ class TimeMixerModel:
 
     # -- forward ------------------------------------------------------------
 
-    def _check_stack(self, stack: Tensor) -> list[int]:
-        """The scale lengths, once ``stack`` is seen to hold them."""
-        lengths = self.config.scale_lengths()
-        if stack.values.ndim < 2 or stack.shape[-2] != sum(lengths):
-            raise ad.ShapeError(f"stacked scales {stack.shape} do not hold "
-                                f"the ladder {lengths} on the time axis")
-        return lengths
-
     def pdm_forward(self, layer: int, stack: Tensor) -> Tensor:
         """One past-decomposable-mixing block over the stacked scales.
 
@@ -279,7 +271,7 @@ class TimeMixerModel:
         map plus a ΣT bias, built from the mixing weights by ``cascade``;
         outside a tape, once per state of those weights.
         """
-        lengths = self._check_stack(stack)
+        lengths = self.config.scale_lengths()
         p, pre = self.params, f"block{layer}"
         scales = range(1, self.config.num_scales + 1)
         up_w = [p[f"{pre}.bottom_up{m}.W"] for m in scales]
@@ -302,7 +294,7 @@ class TimeMixerModel:
         """Sum of per-scale linear predictors mapping each time length to F:
         one time map by the stacked (ΣT, F) predictor weights, which
         ``concat`` stacks; outside a tape, once per state of the head."""
-        lengths = self._check_stack(stack)
+        lengths = self.config.scale_lengths()
         (head,) = self._weights_only("head", lambda: (ad.concat(
             [self.params[f"head.pred{m}.W"] for m in range(len(lengths))]),))
         return ad.time_linear(stack, head)

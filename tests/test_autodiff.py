@@ -324,6 +324,36 @@ class TestBackward:
         ad.backward(loss, tape)
         assert x.grad.tolist() == [1.0, 1.5, 2.5, 3.5]      # 2 * k / 4
 
+    @pytest.mark.parametrize("op", ["reshape", "concat", "subtract", "add",
+                                    "cascade"])
+    @pytest.mark.parametrize("pool", [contextlib.nullcontext, Workspace])
+    def test_copied_gradients_leave_kept_outputs_alone(self, rng, op, pool):
+        # x is used before the op too, so its gradient grows after the op's
+        # backward has run: had the op handed x its output gradient, or a
+        # view of it, instead of a copy, that += would write into a kept
+        # output's grad
+        args = cascade_args(rng, [4, 2])
+        x = args[2][0] if op == "cascade" else leaf(rng, 4, 3)
+        other = leaf(rng, 2 if op == "concat" else 4, 3)
+        make = {"reshape": lambda: (ad.reshape(x, (3, 4)),),
+                "concat": lambda: (ad.concat([x, other]),),
+                "subtract": lambda: (ad.subtract(x, other),),
+                "add": lambda: (ad.add(other, x),),
+                "cascade": lambda: ad.cascade(*args)}[op]
+        with pool(), Tape() as tape:
+            loss = ad.mean(ad.multiply(x, Tensor(rng.normal(size=x.shape))))
+            outputs = make()
+            weights = [Tensor(rng.normal(size=o.shape)) for o in outputs]
+            for o, w in zip(outputs, weights):
+                loss = ad.add(loss, ad.mean(ad.multiply(o, w)))
+        ad.backward(loss, tape)
+        for o, w in zip(outputs, weights):
+            alone = Tensor(o.values, requires_grad=True)
+            with Tape() as own:
+                own_loss = ad.mean(ad.multiply(alone, w))
+            ad.backward(own_loss, own)
+            assert np.array_equal(o.grad, alone.grad)
+
     def test_non_scalar_loss_rejected(self, rng):
         w = leaf(rng, 3)
         tape = Tape()

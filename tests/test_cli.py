@@ -8,7 +8,8 @@ import pytest
 from volmixer import cli
 from volmixer.market_data import (feature_matrix, parse_chart_json,
                                   parse_ohlcv_csv)
-from volmixer.model import TimeMixerModel
+from volmixer.model import ModelConfig, TimeMixerModel
+from volmixer.training import TrainConfig
 
 
 def synth_chart_json(seed, n=420, start=date(2020, 1, 2)):
@@ -119,6 +120,21 @@ class TestFetch:
             == ["BETA"]
         assert "ALPHA: FAILED (ALPHA: cannot read" in capsys.readouterr().err
 
+    def test_cache_path_that_is_a_directory_fails_only_its_ticker(
+            self, workspace, capsys):
+        tmp, config, fixtures = workspace
+        assert run_cli(config, "fetch", "--fixtures", str(fixtures)) == 0
+        (alpha,) = (tmp / "data").glob("ALPHA_*.csv")
+        alpha.unlink()
+        alpha.mkdir()
+        capsys.readouterr()
+        assert run_cli(config, "fetch", "--fixtures", str(fixtures)) == 3
+        assert "ALPHA: FAILED ([Errno 21] Is a directory" \
+            in capsys.readouterr().err
+        assert [p.name.split("_")[0] for p in (tmp / "data").glob("*.csv")
+                if p.is_file()] == ["BETA"]
+        assert not list((tmp / "data").glob(".*.tmp"))
+
     def test_empty_roster_is_validation_error(self, workspace):
         tmp, config, fixtures = workspace
         (tmp / "roster.json").write_text("[]")
@@ -126,6 +142,10 @@ class TestFetch:
 
 
 class TestConfig:
+    def test_run_defaults_are_the_model_and_training_defaults(self):
+        assert cli.RunConfig().model_config(12) == ModelConfig(horizon=12)
+        assert cli.RunConfig().train_config() == TrainConfig()
+
     def test_lookback_scale_gate_before_any_work(self, workspace):
         tmp, config, _ = workspace
         code = run_cli(config, "run", "--set", "lookback=8",
@@ -364,6 +384,26 @@ class TestPipeline:
         assert "missing checkpoint" in manifest["failures"][0]["error"]
         csv = (tmp / "out" / "metrics.csv").read_text()
         assert "BETA," in csv and "ALPHA" not in csv
+
+    @pytest.mark.parametrize("command", ["run", "eval"])
+    def test_checkpoint_path_that_is_a_directory_fails_only_its_pair(
+            self, workspace, command):
+        tmp, config, fixtures = workspace
+        run_cli(config, "fetch", "--fixtures", str(fixtures))
+        ckpt = tmp / "out" / "ALPHA_F4.ckpt"
+        if command == "eval":
+            assert run_cli(config, "train") == 0
+            ckpt.unlink()
+        ckpt.mkdir(parents=True)
+        assert run_cli(config, command) == 3
+        manifest = json.loads((tmp / "out" / "manifest.json").read_text())
+        assert [(f["ticker"], f["horizon"]) for f in manifest["failures"]] \
+            == [("ALPHA", 4)]
+        assert "Is a directory" in manifest["failures"][0]["error"]
+        csv = (tmp / "out" / "metrics.csv").read_text()
+        assert "BETA," in csv and "ALPHA" not in csv
+        assert (tmp / "out" / "BETA_F4.ckpt").is_file()
+        assert not list((tmp / "out").glob(".*.tmp"))
 
     def test_run_isolates_per_pair_failures(self, workspace):
         tmp, config, fixtures = workspace

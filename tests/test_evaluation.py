@@ -113,7 +113,13 @@ class TestReports:
                                     "float: 'x'"),
         ("AAPL,12,0.01,0.0001,0.01,7.5", "line 5: invalid literal for int"),
         ("AAPL,12,0.01,0.0001,0.5,7", r"line 5: rmse 0.5 != sqrt"),
-    ], ids=["short", "non_numeric", "fractional_count", "inconsistent"])
+        ("AAPL,-3,0.1,0.01,0.1,-7", "line 5: horizon -3 and n_samples -7 "
+                                    "must be >= 1"),
+        ("AAPL,0,0.1,0.01,0.1,0", "line 5: horizon 0 and n_samples 0"),
+        ("AAPL,12,nan,0.01,0.1,5", "line 5: metrics must be finite"),
+        ("AAPL,12,inf,0.01,0.1,5", "line 5: metrics must be finite"),
+    ], ids=["short", "non_numeric", "fractional_count", "inconsistent",
+            "negative_counts", "zero_counts", "nan_metric", "inf_metric"])
     def test_malformed_csv_record_names_its_line(self, record, message):
         # a blank line before the header still counts
         text = "\n" + ev.records_to_csv(self.records()[:2]) + record + "\n"

@@ -653,29 +653,22 @@ def test_non_finite_price_rejected(entry, where, value):
 
 class TestRollingVolatility:
     def test_zero_returns(self):
-        sigma = md.rolling_volatility(np.zeros(40), window=21)
+        sigma = md.rolling_volatility(np.zeros(40))
         assert np.all(sigma == 0.0)
         assert sigma.size == 20
 
-    def test_two_point_derived_value(self):
-        # sqrt(252) * sample std of [0.01, 0.03]
-        sigma = md.rolling_volatility([0.01, 0.03], window=2)
-        expected = math.sqrt(252) * np.std([0.01, 0.03], ddof=1)
-        assert math.isclose(sigma[0], expected, rel_tol=1e-12)
-        assert math.isclose(sigma[0], 0.224499, abs_tol=5e-7)
-
     def test_constant_returns(self):
-        sigma = md.rolling_volatility([0.02] * 21, window=21)
+        sigma = md.rolling_volatility([0.02] * 21)
         assert sigma.tolist() == [0.0]
 
     def test_constant_prices_give_zero_sigma(self):
         series = series_of([50.0] * 40)
-        vol = md.volatility_series(series)
-        assert np.all(vol.sigma == 0.0)
+        sigma = md.feature_matrix(series)[0][:, 0]
+        assert np.all(sigma == 0.0)
 
     def test_brute_force_oracle(self, rng):
         returns = rng.normal(0, 0.02, 1000)
-        sigma = md.rolling_volatility(returns, window=21)
+        sigma = md.rolling_volatility(returns)
         for i in range(0, sigma.size, 37):
             window = returns[i:i + 21]
             mu = sum(window) / 21
@@ -684,10 +677,10 @@ class TestRollingVolatility:
 
     def test_length_contract(self, rng):
         series = series_of(np.exp(rng.normal(0, 0.01, 100)) * 10)
-        vol = md.volatility_series(series)
-        assert vol.sigma.size == len(series) - 1 - 20
+        sigma = md.feature_matrix(series)[0][:, 0]
+        assert sigma.size == len(series) - 1 - 20
         with pytest.raises(LengthError):
-            md.rolling_volatility(np.zeros(5), window=21)
+            md.rolling_volatility(np.zeros(5))
 
 
 class TestMakeWindows:
