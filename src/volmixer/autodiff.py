@@ -431,46 +431,78 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
+# elements per pass of ``gelu`` over a larger input: 256 KiB of float64, so
+# a block's scratch stays in cache between the kernel's passes over it
+_GELU_BLOCK = 1 << 15
+
+
+def _gelu_block(v, out, t, deriv, d) -> None:
+    """GELU of ``v`` into ``out``, and its derivative into ``deriv`` unless
+    that is None, through the scratch ``t`` and ``d``; all of one shape.
+
+    ``t = tanh(c * (v + k * v * v * v))`` and ``out = 0.5 * v * (1 + t)``;
+    the derivative is ``0.5 * (1 + t) + 0.5 * v * (1 - t * t) * d_inner``
+    with ``d_inner = c * (1 + 3k * v * v)``, each rounded in that order.
+    """
+    np.multiply(v, v, out=t)
+    t *= v
+    t *= 0.044715
+    t += v
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    np.add(t, 1.0, out=out)
+    out *= v
+    out *= 0.5
+    if deriv is None:
+        return
+    np.multiply(v, v, out=d)                                # d_inner
+    d *= 3 * 0.044715
+    d += 1.0
+    d *= _GELU_C
+    np.add(t, 1.0, out=deriv)                               # first term
+    deriv *= 0.5
+    np.multiply(t, t, out=t)                                # second term
+    np.subtract(1.0, t, out=t)
+    t *= v
+    t *= 0.5
+    t *= d
+    deriv += t
 
 
 def gelu(x: Tensor) -> Tensor:
     """Elementwise x * Phi(x), tanh approximation.
 
     Cubes and squares are products, not ``**`` (NumPy's generic power path is
-    slow). Each kernel works in place on its own scratch buffers (``out=``
-    keeps them arrays for 0-d input), and ``x`` is never written. The
-    backward closure keeps only ``v`` and ``t``; it recomputes ``v * v``.
+    slow), and ``x`` is never written. An input of more than ``_GELU_BLOCK``
+    elements is worked through in blocks of that many, each with its own
+    passes over block-sized scratch; a smaller one in one go on whole arrays
+    (``out=`` keeps them arrays for 0-d input). Being elementwise, the
+    results do not depend on the blocks. Under a tape the same pass forms
+    the derivative, the one array the node keeps, and the backward
+    multiplies it by the output gradient in place.
     """
     v = x.values
     ws = _workspace()
-    t = np.multiply(v, v, out=ws.empty(v.shape))
-    t *= v
-    t *= 0.044715
-    t += v
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    out = np.add(t, 1.0, out=ws.empty(v.shape))
-    out *= v
-    out *= 0.5
+    grad = x.requires_grad and active_tape() is not None
+    whole = v.size <= _GELU_BLOCK
+    out = ws.empty(v.shape)
+    deriv = ws.empty(v.shape) if grad else None
+    t = ws.empty(v.shape if whole else (_GELU_BLOCK,))
+    d = ws.empty(t.shape) if grad else None
+    if whole:
+        _gelu_block(v, out, t, deriv, d)
+    else:
+        flat_v, flat_out = v.reshape(-1), out.reshape(-1)
+        flat_deriv = deriv.reshape(-1) if grad else None
+        for lo in range(0, v.size, _GELU_BLOCK):
+            n = min(_GELU_BLOCK, v.size - lo)
+            _gelu_block(flat_v[lo:lo + n], flat_out[lo:lo + n], t[:n],
+                        flat_deriv[lo:lo + n] if grad else None,
+                        d[:n] if grad else None)
 
     def bwd(g):
-        if x.requires_grad:
-            # g * (0.5 * (1 + t) + 0.5 * v * sech2 * d_inner), rounded in
-            # that order, with sech2 = 1 - t * t.
-            d = np.multiply(v, v, out=ws.empty(v.shape))    # d_inner
-            d *= 3 * 0.044715
-            d += 1.0
-            d *= _GELU_C
-            s = np.multiply(t, t, out=ws.empty(v.shape))    # second term
-            np.subtract(1.0, s, out=s)
-            s *= v
-            s *= 0.5
-            s *= d
-            np.add(t, 1.0, out=d)                           # first term
-            d *= 0.5
-            d += s
-            d *= g
-            x._accumulate(d)
+        np.multiply(deriv, g, out=deriv)
+        x._accumulate(deriv)
 
     return _make(out, (x,), bwd, "gelu", ws)
 

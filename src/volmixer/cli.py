@@ -286,21 +286,23 @@ def cmd_train(config: RunConfig) -> int:
 
 
 def _score_pairs(config: RunConfig, get_model) -> int:
-    """Score ``get_model(entry, horizon, dataset)`` on every pair, then write
-    the report and ``manifest.json``; shared by ``eval`` and ``run``."""
+    """Score ``get_model(entry, horizon, dataset)`` on every pair and write
+    its plot, then write the report and ``manifest.json``; shared by
+    ``eval`` and ``run``."""
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records, plots = [], {}
+    records = []
 
     def work(entry, horizon, dataset):
         model = get_model(entry, horizon, dataset)
         pair_records, plot = evaluation.score_pair(model, dataset, entry.ticker)
+        write_atomic(out_dir / f"{entry.ticker}_F{horizon}.svg",
+                     evaluation.forecast_plot_svg(*plot))
         records.extend(pair_records)
-        plots[f"{entry.ticker}_F{horizon}"] = plot
 
     failures = _each_pair(config, work)
     if records:
-        evaluation.emit_report(records, out_dir, plots)
+        evaluation.emit_report(records, out_dir)
         print(f"wrote {len(records)} records to {out_dir / 'metrics.csv'}")
     manifest = {
         "config": asdict(config),

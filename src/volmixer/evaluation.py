@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -111,7 +111,7 @@ def score_pair(model: TimeMixerModel, dataset: WindowedDataset,
 
     Returns the model's, persistence's and window mean's records, and the
     first test window as a ``(dates, actual, predicted, title)`` plot for
-    :func:`emit_report`. Forecasts are denormalized before scoring.
+    :func:`forecast_plot_svg`. Forecasts are denormalized before scoring.
     """
     horizon = dataset.horizon
     pred = predict_test(model, dataset)
@@ -225,12 +225,8 @@ def forecast_plot_svg(dates, actual: np.ndarray, predicted: np.ndarray,
 """
 
 
-def emit_report(records: Sequence[MetricsRecord], out_dir,
-                plots: Optional[dict[str, tuple]] = None) -> dict[str, Path]:
-    """Write metrics.csv, report.md and any per-(asset, horizon) SVG plots.
-
-    ``plots`` maps a file stem to (dates, actual, predicted, title).
-    """
+def emit_report(records: Sequence[MetricsRecord], out_dir) -> dict[str, Path]:
+    """Write metrics.csv and report.md."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {}
@@ -240,8 +236,4 @@ def emit_report(records: Sequence[MetricsRecord], out_dir,
     md_path = out_dir / "report.md"
     write_atomic(md_path, records_to_markdown(records))
     paths["markdown"] = md_path
-    for stem, (dates, actual, predicted, title) in (plots or {}).items():
-        p = out_dir / f"{stem}.svg"
-        write_atomic(p, forecast_plot_svg(dates, actual, predicted, title))
-        paths[stem] = p
     return paths

@@ -1,7 +1,6 @@
 import errno
 import os
 
-import numpy as np
 import pytest
 
 from volmixer import evaluation as ev
@@ -76,9 +75,7 @@ def write_train_report(path, seed):
 def emit_report(path, seed):
     record = ev.MetricsRecord("AAA", 4, mae=1.0 + seed, mse=4.0, rmse=2.0,
                               n_samples=3)
-    plot = (["2020-01-02", "2020-01-03"], np.array([1.0, 2.0]),
-            np.array([1.5, 1.5 + seed]), "AAA F=4")
-    ev.emit_report([record], path, {"AAA_F4": plot})
+    ev.emit_report([record], path)
 
 
 @pytest.mark.parametrize("write", [save_checkpoint, write_train_report,

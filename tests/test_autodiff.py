@@ -133,22 +133,105 @@ class TestGelu:
         assert x.values.tobytes() == v.tobytes()
         assert not np.shares_memory(y.values, x.values)
 
-    def test_backward_keeps_only_input_and_tanh(self, rng):
-        # Caching v * v or the derivative would cost a batch-sized array per
-        # gelu node for the life of the tape.
-        x = Tensor(rng.normal(size=(2, 5, 3)), requires_grad=True)
-        tape = Tape()
-        with tape:
+    def test_node_keeps_only_the_derivative(self):
+        # One batch-sized array per gelu node for the life of the tape, and
+        # a backward that takes no scratch of its own.
+        v = self.EXACT_GRID.reshape(13, 37)
+        x = Tensor(v.copy(), requires_grad=True)
+        ws = Workspace()
+        with ws, Tape() as tape:
             ad.gelu(x)
-        closure = tape.nodes[-1].backward_fn.__closure__
-        arrays = [c.cell_contents for c in closure
+        (node,) = tape.nodes
+        arrays = [c.cell_contents for c in node.backward_fn.__closure__
                   if isinstance(c.cell_contents, np.ndarray)]
-        assert len(arrays) == 2
-        assert any(a is x.values for a in arrays)
-        c = math.sqrt(2.0 / math.pi)
-        v = x.values
-        assert any(a is not v and np.array_equal(
-            a, np.tanh(c * (v + 0.044715 * v ** 3))) for a in arrays)
+        assert len(arrays) == 1 and arrays[0].shape == v.shape
+        _, dref = self.oracle(v)
+        assert np.all(np.abs(arrays[0] - dref) <= 1e-12 * np.abs(dref))
+        lent = len(ws._lent)
+        with ws:
+            node.backward_fn(np.ones_like(v))
+        assert len(ws._lent) == lent
+        assert x.grad is arrays[0]
+
+
+def reference_gelu(v, g):
+    """GELU of ``v`` and ``g`` times its derivative, as one pass over whole
+    arrays with each product and sum rounded in the kernel's order."""
+    c = math.sqrt(2.0 / math.pi)
+    t = np.multiply(v, v, out=np.empty(v.shape))
+    t *= v
+    t *= 0.044715
+    t += v
+    t *= c
+    np.tanh(t, out=t)
+    out = np.add(t, 1.0, out=np.empty(v.shape))
+    out *= v
+    out *= 0.5
+    d = np.multiply(v, v, out=np.empty(v.shape))
+    d *= 3 * 0.044715
+    d += 1.0
+    d *= c
+    s = np.multiply(t, t, out=np.empty(v.shape))
+    np.subtract(1.0, s, out=s)
+    s *= v
+    s *= 0.5
+    s *= d
+    np.add(t, 1.0, out=d)
+    d *= 0.5
+    d += s
+    d *= g
+    return out, d
+
+
+class TestGeluBlocks:
+    """``gelu`` with ``_GELU_BLOCK`` set to 7, so that inputs of 8 and 23
+    elements cross block boundaries, byte for byte against
+    ``reference_gelu``."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(ad, "_GELU_BLOCK", 7)
+
+    SHAPES = [(), (0,), (1,), (2, 3), (7,), (2, 4), (23,), (23, 1)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_bytes_equal_whole_array_reference(self, shape, taped):
+        rng = np.random.default_rng(len(shape) + math.prod(shape))
+        v = rng.uniform(-6.0, 6.0, size=shape)
+        g = rng.normal(size=shape)
+        ref, dref = reference_gelu(v, g)
+        x = Tensor(v.copy(), requires_grad=True)
+        ws = Workspace()
+        with ws, (Tape() if taped else contextlib.nullcontext()) as tape:
+            y = ad.gelu(x)
+        assert y.values.shape == shape
+        assert y.values.tobytes() == ref.tobytes()
+        assert x.values.tobytes() == v.tobytes()
+        whole = [b for _, b in ws._lent
+                 if b.dtype == np.float64 and b.shape == shape]
+        one_pass = v.size <= ad._GELU_BLOCK
+        # the output and, in one pass, its scratch; under a tape, the
+        # derivative and, in one pass, its scratch too
+        assert len(whole) == (1 + one_pass) * (1 + taped)
+        assert any(b is y.values for b in whole)
+        if not taped:
+            assert tape is None
+            return
+        (node,) = tape.nodes
+        node.backward_fn(g)
+        assert x.grad.tobytes() == dref.tobytes()
+
+    def test_strided_input_bytes_equal_reference(self):
+        v = np.random.default_rng(5).uniform(-6.0, 6.0, size=(4, 5)).T
+        g = np.ones(v.shape)
+        ref, dref = reference_gelu(v, g)
+        x = Tensor(v, requires_grad=True)
+        with Tape() as tape:
+            y = ad.gelu(x)
+        tape.nodes[-1].backward_fn(g)
+        assert y.values.tobytes() == ref.tobytes()
+        assert x.grad.tobytes() == dref.tobytes()
 
 
 class TestTimeLinear:

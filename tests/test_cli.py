@@ -385,16 +385,18 @@ class TestPipeline:
         csv = (tmp / "out" / "metrics.csv").read_text()
         assert "BETA," in csv and "ALPHA" not in csv
 
-    @pytest.mark.parametrize("command", ["run", "eval"])
+    @pytest.mark.parametrize("command, suffix", [
+        ("run", ".ckpt"), ("eval", ".ckpt"), ("run", ".svg")],
+        ids=["run", "eval", "run-svg"])
     def test_checkpoint_path_that_is_a_directory_fails_only_its_pair(
-            self, workspace, command):
+            self, workspace, command, suffix):
         tmp, config, fixtures = workspace
         run_cli(config, "fetch", "--fixtures", str(fixtures))
-        ckpt = tmp / "out" / "ALPHA_F4.ckpt"
+        artifact = tmp / "out" / f"ALPHA_F4{suffix}"
         if command == "eval":
             assert run_cli(config, "train") == 0
-            ckpt.unlink()
-        ckpt.mkdir(parents=True)
+            artifact.unlink()
+        artifact.mkdir(parents=True)
         assert run_cli(config, command) == 3
         manifest = json.loads((tmp / "out" / "manifest.json").read_text())
         assert [(f["ticker"], f["horizon"]) for f in manifest["failures"]] \
@@ -403,6 +405,7 @@ class TestPipeline:
         csv = (tmp / "out" / "metrics.csv").read_text()
         assert "BETA," in csv and "ALPHA" not in csv
         assert (tmp / "out" / "BETA_F4.ckpt").is_file()
+        assert (tmp / "out" / "BETA_F4.svg").is_file()
         assert not list((tmp / "out").glob(".*.tmp"))
 
     def test_run_isolates_per_pair_failures(self, workspace):

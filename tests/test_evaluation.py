@@ -147,12 +147,12 @@ class TestReports:
         assert "2020-01-01" in svg
 
     def test_emit_report_writes_all_artifacts(self, tmp_path):
-        plots = {"AAPL_F12": (["a", "b"], np.array([0.1, 0.2]),
-                              np.array([0.1, 0.2]), "AAPL")}
-        paths = ev.emit_report(self.records(), tmp_path, plots)
-        assert paths["csv"].exists()
-        assert paths["markdown"].exists()
-        assert (tmp_path / "AAPL_F12.svg").exists()
+        paths = ev.emit_report(self.records(), tmp_path)
+        assert paths["csv"].read_text() == ev.records_to_csv(self.records())
+        assert paths["markdown"].read_text() \
+            == ev.records_to_markdown(self.records())
+        assert sorted(p.name for p in tmp_path.iterdir()) \
+            == ["metrics.csv", "report.md"]
 
 
 class TestEvaluateAsset:

@@ -373,6 +373,24 @@ class TestPooledSteps:
             tracemalloc.stop()
         assert peak - before < 1e6
 
+    def test_default_step_lends_eight_feedforward_sized_buffers(self):
+        """At the default config and batch 32, a step's widest arrays are
+        (32, ΣT = 120, ff_hidden = 64). Per block, each GELU lends its
+        output and its derivative, and works in scratch of at most
+        ``_GELU_BLOCK`` elements; a GELU that kept its tanh and took two
+        such arrays of backward scratch made this 12."""
+        config = ModelConfig()
+        rng = np.random.default_rng(0)
+        x = 1.0 + 0.1 * rng.standard_normal((32, config.lookback, 1))
+        y = 1.0 + 0.1 * rng.standard_normal((32, config.horizon))
+        model = TimeMixerModel(config)
+        ws = Workspace()
+        _step(model, Adam(model), ws, *_normalized_batch(x, y))
+        widest = (32, sum(config.scale_lengths()), config.ff_hidden)
+        assert widest == (32, 120, 64)
+        assert sum(buf.shape == widest and buf.dtype == np.float64
+                   for _, buf in ws._lent) == 8
+
 
 @pytest.mark.slow
 def test_sinusoid_regression_threshold():
