@@ -236,8 +236,32 @@ def _workspace() -> "Workspace | _Fresh":
     return _POOLS[-1] if _POOLS else _FRESH
 
 
+# whether each op checks that its output is finite; see ``checks``
+_checking = True
+
+
+class checks:
+    """``with checks(False):`` runs its block without each op's check of its
+    output, and ``with checks(True):`` with it; leaving the block restores
+    the setting before it. The check is on by default."""
+
+    __slots__ = ("on", "before")
+
+    def __init__(self, on: bool):
+        self.on = on
+
+    def __enter__(self) -> None:
+        global _checking
+        self.before, _checking = _checking, self.on
+
+    def __exit__(self, *exc) -> None:
+        global _checking
+        _checking = self.before
+
+
 def _check_finite(values: np.ndarray, op: str, ws) -> None:
-    if not np.isfinite(values, out=ws.empty(values.shape, np.bool_)).all():
+    if _checking and not np.isfinite(
+            values, out=ws.empty(values.shape, np.bool_)).all():
         raise NumericError(f"non-finite values produced by '{op}'")
 
 

@@ -166,12 +166,17 @@ def records_from_csv(text: str) -> list[MetricsRecord]:
 
 
 def records_to_markdown(records: Sequence[MetricsRecord]) -> str:
-    """Horizon-blocked table: one column per ticker, one row per metric."""
+    """Horizon-blocked table: one column per ticker, one row per metric; a
+    repeated (ticker, horizon) pair raises ``EvaluationError``."""
     if not records:
         raise EvaluationError("no records to report")
     tickers = sorted({r.ticker for r in records})
     horizons = sorted({r.horizon for r in records})
-    by_key = {(r.ticker, r.horizon): r for r in records}
+    by_key = {}
+    for r in records:
+        if by_key.setdefault((r.ticker, r.horizon), r) is not r:
+            raise EvaluationError(f"repeated record for ticker {r.ticker!r} "
+                                  f"at horizon {r.horizon}")
     lines = ["| Horizon | Metric | " + " | ".join(tickers) + " |",
              "|---|---|" + "---|" * len(tickers)]
     for horizon in horizons:

@@ -231,6 +231,18 @@ class TimeMixerModel:
             if group is not None:
                 first = self._spans.get(group, span)
                 self._spans[group] = slice(first.start, span.stop)
+        # each block's parameters for ``pdm_forward``; bound to ``flat`` for life
+        scales = range(1, config.num_scales + 1)
+        groups = ([f"bottom_up{m}.W" for m in scales],
+                  [f"bottom_up{m}.b" for m in scales],
+                  [f"top_down{m - 1}.W" for m in scales],
+                  [f"top_down{m - 1}.b" for m in scales],
+                  *([f"ff{m}.{w}" for m in range(config.num_scales + 1)]
+                    for w in ("W1", "b1", "W2", "b2")))
+        self._blocks = [
+            tuple(tuple(self.params[f"block{layer}.{name}"] for name in names)
+                  for names in groups)
+            for layer in range(config.num_blocks)]
 
     def zero_grads(self) -> None:
         for t in self.params.values():
@@ -254,7 +266,9 @@ class TimeMixerModel:
         key = self.flat[self._spans.get(group, slice(0, 0))].tobytes()
         kept = self._built.get(group)
         if kept is None or kept[0] != key:
-            with ad.Workspace():
+            # checked, also in an unchecked pass, so that a non-finite value
+            # is named and never kept
+            with ad.Workspace(), ad.checks(True):
                 kept = key, tuple(map(_frozen, build()))
             self._built[group] = kept
         return kept[1]
@@ -272,22 +286,15 @@ class TimeMixerModel:
         outside a tape, once per state of those weights.
         """
         lengths = self.config.scale_lengths()
-        p, pre = self.params, f"block{layer}"
-        scales = range(1, self.config.num_scales + 1)
-        up_w = [p[f"{pre}.bottom_up{m}.W"] for m in scales]
-        up_b = [p[f"{pre}.bottom_up{m}.b"] for m in scales]
-        down_w = [p[f"{pre}.top_down{m - 1}.W"] for m in scales]
-        down_b = [p[f"{pre}.top_down{m - 1}.b"] for m in scales]
+        up_w, up_b, down_w, down_b, w1, b1, w2, b2 = self._blocks[layer]
         _, season, trend = _stack_maps(self.config.lookback,
                                        self.config.num_scales,
                                        self.config.decomp_kernel)
-        mixing, bias = self._weights_only(pre, lambda: ad.cascade(
+        mixing, bias = self._weights_only(f"block{layer}", lambda: ad.cascade(
             season, up_w, up_b, trend, down_w, down_b))
         mix = ad.time_linear(stack, mixing, bias)
-        ff = {name: [p[f"{pre}.ff{m}.{name}"] for m in range(len(lengths))]
-              for name in ("W1", "b1", "W2", "b2")}
-        hidden = ad.gelu(ad.segment_linear(mix, ff["W1"], ff["b1"], lengths))
-        out = ad.segment_linear(hidden, ff["W2"], ff["b2"], lengths)
+        hidden = ad.gelu(ad.segment_linear(mix, w1, b1, lengths))
+        out = ad.segment_linear(hidden, w2, b2, lengths)
         return ad.add(stack, out)
 
     def fmm_forward(self, stack: Tensor) -> Tensor:
@@ -341,7 +348,8 @@ class TimeMixerModel:
         and every batch under a tape, runs whole. The blocks' time maps and
         the head, built in the first chunk when the weights changed since
         the last call, are kept as copies outside the workspace, so later
-        chunks and calls reuse them.
+        chunks and calls reuse them. Outside a tape, each chunk's finiteness
+        is checked once (see ``_checked_once``).
         """
         return self._predict(x_norm, ad.Workspace())
 
@@ -351,24 +359,45 @@ class TimeMixerModel:
         only ever holds the buffers of k windows."""
         x_norm = self._check_windows(x_norm)
         n, k = x_norm.shape[0], _chunk_windows(self.config)
-        if n <= k or ad.active_tape() is not None:
+        if ad.active_tape() is not None:
             return self.forward_normalized(x_norm).values
+        if n <= k:
+            return self._checked_once(x_norm)
         out = np.empty((n, self.config.horizon))
         whole = n - n % k
         with pool:
             for lo in range(0, whole, k):
                 pool.reset()
-                out[lo:lo + k] = self.forward_normalized(
-                    x_norm[lo:lo + k]).values
+                out[lo:lo + k] = self._checked_once(x_norm[lo:lo + k])
         if whole < n:
             with ad.Workspace():
-                out[whole:] = self.forward_normalized(x_norm[whole:]).values
+                out[whole:] = self._checked_once(x_norm[whole:])
         return out
+
+    def _checked_once(self, x_norm: np.ndarray) -> np.ndarray:
+        """``forward_normalized(x_norm).values`` with the per-op checks and
+        NumPy's warnings off, checked once: every op turns a non-finite input
+        element into a non-finite output. Only a non-finite result, or a
+        failed weights-only build, runs the pure pass again with every op
+        checked, on a workspace of its own, to raise ``NumericError`` naming
+        the op."""
+        try:
+            with ad.checks(False), np.errstate(all="ignore"):
+                y = self.forward_normalized(x_norm).values
+        except ad.NumericError:
+            y = None
+        if y is not None and np.isfinite(y).all():
+            return y
+        with ad.Workspace():
+            self.forward_normalized(x_norm)
+        raise ad.NumericError("non-finite forecast")
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Forecast raw windows: (B, P, C) -> (B, F), or (P, C) -> (F,).
 
-        Any other shape raises ``ShapeError`` before normalizing. Unlike
+        Any other shape raises ``ShapeError`` before normalizing. A
+        non-finite forecast raises ``NumericError``: naming the op that made
+        it, or ``denormalize`` when a window's statistics overflow. Unlike
         ``predict_normalized``, whose chunk workspace is freed when it
         returns, a forecast keeps its chunk workspace (about 10 MiB at the
         default config) for the model's next call, so that a model serving
@@ -382,6 +411,10 @@ class TimeMixerModel:
                                 f"got {x.shape}")
         x_norm, stats = instance_normalize(x[None] if x.ndim == 2 else x)
         out = denormalize(self._predict(x_norm, self._forward_pool), stats)
+        if not np.isfinite(out).all():
+            # a finite normalized forecast: a window's mean or std overflowed
+            raise ad.NumericError("non-finite values produced by "
+                                  "'denormalize'")
         return out[0] if x.ndim == 2 else out
 
     # -- checkpointing ------------------------------------------------------

@@ -133,7 +133,11 @@ def _normalized_batch(x: np.ndarray, y: np.ndarray):
 
 
 def evaluate_split(model: TimeMixerModel, x: np.ndarray, y: np.ndarray) -> float:
-    """Normalized-scale MSE over a split, without recording gradients."""
+    """Normalized-scale MSE over a split, without recording gradients; an
+    empty split raises ``TrainingError``."""
+    if x.shape[0] == 0:
+        raise TrainingError(f"cannot evaluate an empty split: x has shape "
+                            f"{x.shape}")
     total, count = 0.0, 0
     for lo in range(0, x.shape[0], EVAL_BATCH):
         xb, yb = _normalized_batch(x[lo:lo + EVAL_BATCH], y[lo:lo + EVAL_BATCH])

@@ -469,6 +469,22 @@ class TestNumericGuards:
             ad.multiply(big, big)
 
 
+    def test_checks_switch_is_scoped_and_on_by_default(self):
+        nan = Tensor([math.nan])
+        with pytest.raises(NumericError, match="'gelu'"):
+            ad.gelu(nan)
+        with np.errstate(invalid="ignore"), ad.checks(False):
+            assert np.isnan(ad.gelu(nan).values).all()
+            with ad.checks(True), pytest.raises(NumericError):
+                ad.gelu(nan)
+            assert np.isnan(ad.gelu(nan).values).all()
+        with pytest.raises(NumericError), ad.checks(False):
+            raise NumericError("leaves the block")
+        assert ad._checking
+        with pytest.raises(NumericError, match="'gelu'"):
+            ad.gelu(nan)
+
+
 class TestWorkspace:
     def test_reset_lends_the_same_buffers_again(self):
         ws = Workspace()

@@ -333,6 +333,18 @@ class TestPipeline:
             in capsys.readouterr().err
         assert not (tmp / "out" / "report.md").exists()
 
+    def test_report_rejects_a_repeated_pair(self, workspace, capsys):
+        tmp, config, fixtures = workspace
+        (tmp / "out").mkdir()
+        (tmp / "out" / "metrics.csv").write_text(
+            "ticker,horizon,mae,mse,rmse,n_samples\n"
+            "A,12,0.1,0.01,0.1,7\n"
+            "A,12,0.2,0.04,0.2,7\n")
+        assert run_cli(config, "report") == 2
+        assert "error: repeated record for ticker 'A' at horizon 12" \
+            in capsys.readouterr().err
+        assert not (tmp / "out" / "report.md").exists()
+
     def test_git_timeout_falls_back_to_package_version(self, workspace,
                                                        monkeypatch):
         tmp, config, fixtures = workspace

@@ -133,6 +133,17 @@ class TestReports:
         # 2 horizon blocks x 3 metrics + header + rule
         assert len(lines) == 2 + 2 * 3
 
+    def test_markdown_rejects_a_repeated_pair(self):
+        # the table has one cell per (ticker, horizon), so a second record
+        # for a pair would replace the first without a trace
+        records = self.records()
+        again = ev.MetricsRecord("SPY", 12, mae=0.5, mse=0.25, rmse=0.5,
+                                 n_samples=7)
+        with pytest.raises(ev.EvaluationError, match="repeated record for "
+                                                     "ticker 'SPY' at horizon "
+                                                     "12"):
+            ev.records_to_markdown(records + [again])
+
     def test_empty_records_rejected(self):
         with pytest.raises(ev.EvaluationError):
             ev.records_to_csv([])

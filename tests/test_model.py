@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -405,6 +406,15 @@ class TestForward:
         with pytest.raises(ad.NumericError):
             model.forward(x)
 
+    def test_overflowing_window_statistics_raise_numeric_error(self):
+        # the std overflows to inf, so the normalized window is all zeros and
+        # its forecast finite, and denormalizing it multiplies 0 by inf
+        model = TimeMixerModel(ModelConfig())
+        x = np.full((64, 1), 1e300) * np.linspace(1, 2, 64)[:, None]
+        with np.errstate(all="ignore"), \
+                pytest.raises(ad.NumericError, match="'denormalize'"):
+            model.forward(x)
+
 
 class TestPredictNormalized:
     @pytest.mark.parametrize("cfg", [ModelConfig(), ModelConfig(channels=3),
@@ -486,6 +496,92 @@ class TestPredictNormalized:
         pooled = [b for free in model._forward_pool._free.values()
                   for b in free] + [b for _, b in model._forward_pool._lent]
         assert sorted(map(id, pooled)) == sorted(map(id, lent))
+
+
+def pooled(model) -> list[int]:
+    """Ids of every buffer ``forward``'s kept workspace holds."""
+    pool = model._forward_pool
+    return sorted(id(b) for b in [*(b for free in pool._free.values()
+                                    for b in free),
+                                  *(b for _, b in pool._lent)])
+
+
+class TestCheckedOnce:
+    """A forward-only pass checks its result once; only a non-finite result
+    runs the pass again with every op checked, to name the op."""
+
+    # the ops of a default forecast; the last two build weights-only values
+    OPS = ("time_linear", "linear", "segment_linear", "gelu", "add",
+           "reshape", "cascade", "concat")
+
+    @pytest.mark.parametrize("batch", ["1", "2k+3"])
+    @pytest.mark.parametrize("op", OPS)
+    def test_a_non_finite_element_of_any_op_is_named(self, rng, monkeypatch,
+                                                     op, batch):
+        model = TimeMixerModel(ModelConfig())
+        k = _chunk_windows(model.config)
+        x = rng.normal(0.2, 0.05, (2 * k + 3, 64, 1))
+        if batch == "1":
+            x = x[:1]
+        model.forward(rng.normal(0.2, 0.05, (2 * k + 3, 64, 1)))
+        before = pooled(model)
+        model._built.clear()        # a cold cache: cascade and concat run
+        check = ad._check_finite
+
+        def emits_nan(values, name, ws):
+            # the op's output holds one NaN, whether or not it is checked
+            if name == op:
+                values.flat[0] = np.nan
+            check(values, name, ws)
+
+        monkeypatch.setattr(ad, "_check_finite", emits_nan)
+        with pytest.raises(ad.NumericError, match=f"'{op}'"):
+            model.forward(x)
+        assert ad._workspace() is ad._FRESH
+        assert ad._checking
+        assert pooled(model) == before
+        group = {"cascade": "block0", "concat": "head"}.get(op)
+        assert group not in model._built        # a bad map is never kept
+
+    @pytest.mark.parametrize("batch", [1, 37])     # 37 = 2k + 3 windows
+    def test_a_nan_window_warns_no_more_than_per_op_checks(self, batch):
+        # the unchecked pass is silent; the checked replay stops at the op
+        # that a per-op check stops at, which warns nothing here
+        model = TimeMixerModel(ModelConfig())
+        x = np.full((batch, 64, 1), 0.3)
+        x[batch // 2, 10, 0] = np.nan
+        with warnings.catch_warnings(record=True) as caught, \
+                pytest.raises(ad.NumericError, match="'time_linear'"):
+            warnings.simplefilter("always")
+            model.forward(x)
+        assert [str(w.message) for w in caught] == []
+
+    def test_an_overflow_warns_once(self):
+        # the replay, not the unchecked pass, warns of the overflow it stops at
+        model = TimeMixerModel(ModelConfig())
+        model.params["embed.W"].values[...] = 1e300
+        model.params["block0.ff0.W1"].values[...] = 1e300
+        with warnings.catch_warnings(record=True) as caught, \
+                pytest.raises(ad.NumericError, match="'segment_linear'"):
+            warnings.simplefilter("always")
+            model.forward(np.full((64, 1), 0.3) + np.arange(64)[:, None])
+        assert [str(w.message) for w in caught] \
+            == ["overflow encountered in matmul"]
+
+    def test_blocks_hold_the_very_parameters(self):
+        model = TimeMixerModel(ModelConfig(num_scales=2))
+        for layer, block in enumerate(model._blocks):
+            names = ([f"bottom_up{m}.{w}" for m in (1, 2)] for w in "Wb")
+            names = [*names, *([f"top_down{m}.{w}" for m in (0, 1)]
+                                for w in "Wb"),
+                     *([f"ff{m}.{w}" for m in (0, 1, 2)]
+                       for w in ("W1", "b1", "W2", "b2"))]
+            assert len(block) == len(names)
+            for got, want in zip(block, names):
+                assert len(got) == len(want)
+                assert all(t is model.params[f"block{layer}.{name}"]
+                           for t, name in zip(got, want))
+        assert len(model._blocks) == 2
 
 
 def write_adam_step(model, rng):

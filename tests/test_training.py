@@ -151,6 +151,12 @@ class TestTrain:
         assert ad.active_tape() is None
         assert all(p.grad is None for p in model.params.values())
 
+    def test_empty_split_is_a_training_error(self):
+        x_val, y_val = sine_dataset().val
+        with pytest.raises(TrainingError, match="cannot evaluate an empty "
+                                                r"split: x has shape \(0, "):
+            evaluate_split(TimeMixerModel(SMALL), x_val[:0], y_val[:0])
+
     @pytest.mark.parametrize("seed", range(5))
     def test_loss_decreases_over_first_steps(self, seed):
         ds = sine_dataset(seed=seed)
