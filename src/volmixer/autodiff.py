@@ -163,25 +163,24 @@ class _Node:
 
 
 class Workspace:
-    """Pool of arrays, lent by shape and dtype inside ``with workspace:``.
+    """Pool of float64 arrays, lent by shape inside ``with workspace:``.
 
     While the block is the innermost one entered, every op takes its arrays
     from the workspace. ``empty`` lends a buffer, cutting a new one from the
-    heap only when every buffer of that shape and dtype is lent; ``reset``
-    takes all of them back, so the next step's ``empty`` calls get the same
-    buffers and overwrite what the previous step left there. The buffers are
-    freed with the workspace, once nothing else holds them.
+    heap only when every buffer of that shape is lent; ``reset`` takes all
+    of them back, so the next step's ``empty`` calls get the same buffers
+    and overwrite what the previous step left there. The buffers are freed
+    with the workspace, once nothing else holds them.
     """
 
     def __init__(self):
         self._free: dict[tuple, list[np.ndarray]] = {}
         self._lent: list[tuple[tuple, np.ndarray]] = []
 
-    def empty(self, shape: tuple, dtype=np.float64) -> np.ndarray:
-        key = (shape, dtype)
-        free = self._free.get(key)
-        buf = free.pop() if free else np.empty(shape, dtype)
-        self._lent.append((key, buf))
+    def empty(self, shape: tuple) -> np.ndarray:
+        free = self._free.get(shape)
+        buf = free.pop() if free else np.empty(shape)
+        self._lent.append((shape, buf))
         return buf
 
     def __enter__(self) -> "Workspace":
@@ -259,15 +258,14 @@ class checks:
         _checking = self.before
 
 
-def _check_finite(values: np.ndarray, op: str, ws) -> None:
-    if _checking and not np.isfinite(
-            values, out=ws.empty(values.shape, np.bool_)).all():
+def _check_finite(values: np.ndarray, op: str) -> None:
+    if _checking and not np.isfinite(values).all():
         raise NumericError(f"non-finite values produced by '{op}'")
 
 
 def _make(values: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable,
-          op: str, ws) -> Tensor:
-    _check_finite(values, op, ws)
+          op: str) -> Tensor:
+    _check_finite(values, op)
     out = Tensor(values, requires_grad=any(t.requires_grad for t in inputs))
     _record((out,), inputs, backward_fn)
     return out
@@ -321,7 +319,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(g, copy_from=ws if a.requires_grad else None)
 
     return _make(np.add(a.values, b.values, out=ws.empty(a.shape)), (a, b),
-                 bwd, "add", ws)
+                 bwd, "add")
 
 
 def subtract(a: Tensor, b: Tensor) -> Tensor:
@@ -336,7 +334,7 @@ def subtract(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(np.negative(g, out=ws.empty(g.shape)))
 
     return _make(np.subtract(a.values, b.values, out=ws.empty(a.shape)),
-                 (a, b), bwd, "subtract", ws)
+                 (a, b), bwd, "subtract")
 
 
 def multiply(a: Tensor, b: Tensor) -> Tensor:
@@ -352,7 +350,7 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(np.multiply(g, av, out=ws.empty(g.shape)))
 
     return _make(np.multiply(av, bv, out=ws.empty(a.shape)), (a, b), bwd,
-                 "multiply", ws)
+                 "multiply")
 
 
 def mean(x: Tensor) -> Tensor:
@@ -365,41 +363,7 @@ def mean(x: Tensor) -> Tensor:
             gx.fill(float(g) / n)
             x._accumulate(gx)
 
-    return _make(np.asarray(x.values.mean()), (x,), bwd, "mean", ws)
-
-
-def _tensordot(a: np.ndarray, b: np.ndarray, axes: tuple,
-               ws) -> np.ndarray:
-    """``np.tensordot(a, b, axes=(axes, axes))`` for one kept axis in each.
-
-    It forms the same two matrices, a view where ``reshape`` gives one and
-    otherwise a C-order copy, but copies into and multiplies into arrays
-    from ``ws``, so the same GEMM runs on the same operands.
-    """
-    def matrix(x, order, rows):
-        t = x.transpose(order)
-        shape = (math.prod(t.shape[:rows]), math.prod(t.shape[rows:]))
-        if _merges(t, 0, rows) and _merges(t, rows, t.ndim):
-            return t.reshape(shape)
-        copy = ws.empty(t.shape)
-        np.copyto(copy, t)
-        return copy.reshape(shape)
-
-    axes = list(axes)
-    keep_a = [k for k in range(a.ndim) if k not in axes]
-    keep_b = [k for k in range(b.ndim) if k not in axes]
-    at = matrix(a, keep_a + axes, len(keep_a))
-    bt = matrix(b, axes + keep_b, len(axes))
-    return np.dot(at, bt, out=ws.empty((at.shape[0], bt.shape[1])))
-
-
-def _merges(x: np.ndarray, lo: int, hi: int) -> bool:
-    """Whether ``reshape`` can merge axes lo..hi-1 of ``x`` without a copy:
-    leaving out axes of length 1, each stride is the next one times the
-    next length (the C-order rule of NumPy's no-copy reshape)."""
-    dims = [(n, s) for n, s in zip(x.shape[lo:hi], x.strides[lo:hi]) if n != 1]
-    return all(s == s_next * n_next
-               for (_, s), (n_next, s_next) in zip(dims, dims[1:]))
+    return _make(np.asarray(x.values.mean()), (x,), bwd, "mean")
 
 
 def _add_block(out: np.ndarray, block: np.ndarray) -> None:
@@ -451,7 +415,7 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
                                     out=ws.empty((n_out,))))
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
-    return _make(out_vals, inputs, bwd, "linear", ws)
+    return _make(out_vals, inputs, bwd, "linear")
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -528,7 +492,7 @@ def gelu(x: Tensor) -> Tensor:
         np.multiply(deriv, g, out=deriv)
         x._accumulate(deriv)
 
-    return _make(out, (x,), bwd, "gelu", ws)
+    return _make(out, (x,), bwd, "gelu")
 
 
 def time_linear(x: Tensor, a, bias: Optional[Tensor] = None,
@@ -563,7 +527,6 @@ def time_linear(x: Tensor, a, bias: Optional[Tensor] = None,
         block = ws.empty((t_out, width))
         block[...] = bias.values[:, None]
         _add_block(out_vals, block)
-    other = tuple(i for i in range(xv.ndim) if i != xv.ndim - 2)
 
     def bwd(g):
         if x.requires_grad:
@@ -572,7 +535,17 @@ def time_linear(x: Tensor, a, bias: Optional[Tensor] = None,
                 gx /= denom
             x._accumulate(gx)
         if learned and a.requires_grad:
-            ga = _tensordot(xv, g, other, ws)
+            # x as (T, n·C) and g as (n·C, T'), n the windows, copied in the
+            # order ``np.tensordot`` copies them in, so one GEMM of the same
+            # operands sums over every axis but time
+            lead = xv.shape[:-2]
+            xt = ws.empty((t_in, math.prod(lead) * width))
+            np.copyto(xt.reshape((t_in,) + lead + (width,)),
+                      np.moveaxis(xv, -2, 0))
+            gt = ws.empty((xt.shape[1], t_out))
+            np.copyto(gt.reshape(lead + (width, t_out)),
+                      np.swapaxes(g, -1, -2))
+            ga = np.dot(xt, gt, out=ws.empty((t_in, t_out)))
             if denom != 1.0:
                 ga /= denom
             a._accumulate(ga)
@@ -582,7 +555,7 @@ def time_linear(x: Tensor, a, bias: Optional[Tensor] = None,
 
     inputs = (x,) + ((a,) if learned else ())
     inputs += (bias,) if bias is not None else ()
-    return _make(out_vals, inputs, bwd, "time_linear", ws)
+    return _make(out_vals, inputs, bwd, "time_linear")
 
 
 def _bounds(lengths: Sequence[int]) -> list[tuple[int, int]]:
@@ -641,7 +614,7 @@ def segment_linear(x: Tensor, weights: Sequence[Tensor],
                 b._accumulate(np.sum(g_block[lo:hi], axis=0,
                                      out=ws.empty((n_out,))))
 
-    return _make(out_vals, (x, *weights, *biases), bwd, "segment_linear", ws)
+    return _make(out_vals, (x, *weights, *biases), bwd, "segment_linear")
 
 
 def cascade(up_base: np.ndarray, up_weights: Sequence[Tensor],
@@ -702,8 +675,8 @@ def cascade(up_base: np.ndarray, up_weights: Sequence[Tensor],
         down[total, lo:hi] += down_biases[m].values
     a_vals = np.add(up[1:], down[:total], out=ws.empty((total, total)))
     bias_vals = np.add(up[0], down[total], out=ws.empty((total,)))
-    _check_finite(a_vals, "cascade", ws)
-    _check_finite(bias_vals, "cascade", ws)
+    _check_finite(a_vals, "cascade")
+    _check_finite(bias_vals, "cascade")
     params = (*up_weights, *up_biases, *down_weights, *down_biases)
     grad = any(t.requires_grad for t in params)
     a = Tensor(a_vals, requires_grad=grad)
@@ -763,7 +736,7 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
 
     out = ws.empty((bounds[-1][1],) + parts[0].shape[1:])
     return _make(np.concatenate([p.values for p in parts], out=out), parts,
-                 bwd, "concat", ws)
+                 bwd, "concat")
 
 
 @functools.lru_cache(maxsize=64)
@@ -826,8 +799,7 @@ def transpose_last2(x: Tensor) -> Tensor:
         if x.requires_grad:
             x._accumulate(np.swapaxes(g, -1, -2), copy_from=ws)
 
-    return _make(np.swapaxes(x.values, -1, -2), (x,), bwd, "transpose_last2",
-                 ws)
+    return _make(np.swapaxes(x.values, -1, -2), (x,), bwd, "transpose_last2")
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -838,4 +810,4 @@ def reshape(x: Tensor, shape) -> Tensor:
         if x.requires_grad:
             x._accumulate(g.reshape(old), copy_from=ws)
 
-    return _make(x.values.reshape(shape), (x,), bwd, "reshape", ws)
+    return _make(x.values.reshape(shape), (x,), bwd, "reshape")

@@ -71,8 +71,8 @@ class RunConfig:
         if repeated:
             raise ValidationFailure(f"horizons must be distinct; repeated: "
                                     f"{repeated}")
-        if not Path(self.roster).exists():
-            raise ValidationFailure(f"roster file not found: {self.roster}")
+        if not AssetRoster.from_json(self.roster).entries:
+            raise ValidationFailure(f"{self.roster}: roster is empty")
         # surfaces model shape problems before any data work
         try:
             self.model_config(self.horizons[0]).validate()
@@ -237,12 +237,9 @@ def _each_pair(config: RunConfig, work) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def cmd_fetch(config: RunConfig, fixtures=None) -> int:
-    roster = AssetRoster.from_json(config.roster)
-    if not roster.entries:
-        raise ValidationFailure("roster is empty")
     Path(config.data_dir).mkdir(parents=True, exist_ok=True)
     failures = []
-    for entry in roster.entries:
+    for entry in AssetRoster.from_json(config.roster).entries:
         path = cache_path(config.data_dir, entry.ticker, entry.start, entry.end)
         try:
             result = fetch_ohlcv(entry.ticker, entry.start, entry.end,
@@ -311,11 +308,7 @@ def _score_pairs(config: RunConfig, get_model) -> int:
         "failures": failures,
     }
     write_atomic(out_dir / "manifest.json", json.dumps(manifest, indent=2))
-    if failures:
-        return EXIT_PARTIAL
-    if not records:
-        raise ValidationFailure("no (ticker, horizon) pair produced results")
-    return EXIT_OK
+    return EXIT_PARTIAL if failures else EXIT_OK
 
 
 def _load_checkpoint(config: RunConfig, entry, horizon: int):

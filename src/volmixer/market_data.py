@@ -164,10 +164,13 @@ class AssetRoster:
     @classmethod
     def from_json(cls, path) -> "AssetRoster":
         """Read a JSON list of ``{"ticker", "start", "end"}`` objects with ISO
-        dates; other keys are ignored. A file that is not UTF-8 JSON and a
-        malformed roster raise ``ValidationError`` naming the problem."""
+        dates; other keys are ignored. A file that cannot be read or is not
+        UTF-8 JSON and a malformed roster raise ``ValidationError`` naming
+        the problem."""
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise ValidationError(f"cannot read roster {path}: {exc}") from exc
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValidationError(f"{path}: roster is not JSON text: "
                                   f"{exc}") from exc

@@ -338,31 +338,30 @@ class TimeMixerModel:
         """``forward_normalized(x_norm).values``: the forward-only pass of
         forecasts and validation.
 
-        Without an active tape, a batch of more than
-        k = max(1, 1 MiB // (8 ΣT max(d_model, ff_hidden))) windows runs as
-        ``forward_normalized`` calls of k windows each, so that a chunk's
-        activations stay in cache from op to op, on one workspace that is
-        reset between chunks; each chunk's rows are copied into a fresh
-        (B, F) array. Every op computes each window's rows on their own, so
-        the result is byte-identical to a whole-batch pass. A smaller batch,
-        and every batch under a tape, runs whole. The blocks' time maps and
-        the head, built in the first chunk when the weights changed since
-        the last call, are kept as copies outside the workspace, so later
-        chunks and calls reuse them. Outside a tape, each chunk's finiteness
-        is checked once (see ``_checked_once``).
+        Without an active tape, a batch runs as ``forward_normalized`` calls
+        of k = max(1, 1 MiB // (8 ΣT max(d_model, ff_hidden))) windows each,
+        so that a chunk's activations stay in cache from op to op, on one
+        workspace that is reset between chunks; the n mod k windows left
+        over run once more, outside it. Each chunk's rows are copied into a
+        fresh (B, F) array. Every op computes each window's rows on their
+        own, so the result is byte-identical to a whole-batch pass. Under a
+        tape the batch runs whole. The blocks' time maps and the head, built
+        in the first chunk when the weights changed since the last call, are
+        kept as copies outside the workspace, so later chunks and calls reuse
+        them. Outside a tape, each chunk's finiteness is checked once (see
+        ``_checked_once``).
         """
         return self._predict(x_norm, ad.Workspace())
 
     def _predict(self, x_norm: np.ndarray, pool: ad.Workspace) -> np.ndarray:
-        """``predict_normalized`` with the k-window chunks on ``pool``; a
-        last, shorter chunk runs on a workspace of its own, so that ``pool``
-        only ever holds the buffers of k windows."""
+        """``predict_normalized`` with the k-window chunks on ``pool``; the
+        windows left over, a batch of fewer than k or the last n mod k, run
+        once in the caller's context, so that ``pool`` only ever holds the
+        buffers of k windows."""
         x_norm = self._check_windows(x_norm)
         n, k = x_norm.shape[0], _chunk_windows(self.config)
         if ad.active_tape() is not None:
             return self.forward_normalized(x_norm).values
-        if n <= k:
-            return self._checked_once(x_norm)
         out = np.empty((n, self.config.horizon))
         whole = n - n % k
         with pool:
@@ -370,8 +369,7 @@ class TimeMixerModel:
                 pool.reset()
                 out[lo:lo + k] = self._checked_once(x_norm[lo:lo + k])
         if whole < n:
-            with ad.Workspace():
-                out[whole:] = self._checked_once(x_norm[whole:])
+            out[whole:] = self._checked_once(x_norm[whole:])
         return out
 
     def _checked_once(self, x_norm: np.ndarray) -> np.ndarray:

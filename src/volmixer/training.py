@@ -13,7 +13,6 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, asdict
-from pathlib import Path
 
 import numpy as np
 
@@ -61,16 +60,7 @@ class TrainReport:
         return json.dumps(asdict(self), indent=2)
 
     def write(self, path) -> None:
-        path = Path(path)
         write_atomic(path, self.to_json())
-        lines = [f"epoch {i:4d}  train {tr:.6e}  val {vl:.6e}"
-                 for i, (tr, vl) in enumerate(zip(self.train_losses,
-                                                  self.val_losses))]
-        lines.append(f"best epoch {self.best_epoch} "
-                     f"(val {self.best_val_loss:.6e}); "
-                     f"stopped: {self.stopping_reason}; "
-                     f"wall time {self.wall_time:.1f}s")
-        write_atomic(path.with_suffix(".log"), "\n".join(lines) + "\n")
 
 
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:

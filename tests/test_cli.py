@@ -288,6 +288,26 @@ class TestConfig:
         config.write_text(json.dumps({"roster": str(tmp_path / "nope.json")}))
         assert run_cli(config, "run") == 1
 
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_empty_roster_fails_every_command_before_any_write(
+            self, workspace, capsys, command):
+        tmp, config, fixtures = workspace
+        (tmp / "roster.json").write_text("[]")
+        capsys.readouterr()
+        assert run_cli(config, command, "--fixtures", str(fixtures)) == 1
+        assert "roster is empty" in capsys.readouterr().err
+        assert not (tmp / "data").exists() and not (tmp / "out").exists()
+
+    def test_roster_that_is_a_directory_is_validation_error(self, workspace,
+                                                             capsys):
+        tmp, config, _ = workspace
+        (tmp / "rosterdir").mkdir()
+        capsys.readouterr()
+        assert run_cli(config, "prepare", "--set",
+                       f"roster={tmp / 'rosterdir'}") == 1
+        assert (f"error: cannot read roster {tmp / 'rosterdir'}"
+                in capsys.readouterr().err)
+
 
 class TestPipeline:
     def test_run_produces_report_and_manifest(self, workspace):

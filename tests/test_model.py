@@ -468,12 +468,14 @@ class TestPredictNormalized:
 
     def test_results_own_their_memory(self, rng):
         model = TimeMixerModel(ModelConfig())
-        x = rng.normal(size=(3 * _chunk_windows(model.config) + 2, 64, 1))
-        first = model.predict_normalized(x)
-        second = model.predict_normalized(x)
-        assert first.flags.owndata and second.flags.owndata
-        assert not np.shares_memory(first, second)
-        assert first.tobytes() == second.tobytes()
+        k = _chunk_windows(model.config)
+        for n in (3 * k + 2, 1, k):
+            x = rng.normal(size=(n, 64, 1))
+            first = model.predict_normalized(x)
+            second = model.predict_normalized(x)
+            assert first.flags.owndata and second.flags.owndata, n
+            assert not np.shares_memory(first, second)
+            assert first.tobytes() == second.tobytes()
 
     def test_forward_reuses_one_chunk_workspace_across_calls(self, rng):
         # a model serving batches cuts its k-window chunk buffers once; a
@@ -528,11 +530,11 @@ class TestCheckedOnce:
         model._built.clear()        # a cold cache: cascade and concat run
         check = ad._check_finite
 
-        def emits_nan(values, name, ws):
+        def emits_nan(values, name):
             # the op's output holds one NaN, whether or not it is checked
             if name == op:
                 values.flat[0] = np.nan
-            check(values, name, ws)
+            check(values, name)
 
         monkeypatch.setattr(ad, "_check_finite", emits_nan)
         with pytest.raises(ad.NumericError, match=f"'{op}'"):

@@ -247,8 +247,8 @@ def tracking(lent: dict) -> type:
     lend into ``lent``, by ``id``; ``lent`` holds the buffers, so the ids
     stay theirs."""
     class Tracked(Workspace):
-        def empty(self, shape, dtype=np.float64):
-            buf = super().empty(shape, dtype)
+        def empty(self, shape):
+            buf = super().empty(shape)
             lent[id(buf)] = buf
             return buf
     return Tracked
@@ -396,6 +396,20 @@ class TestPooledSteps:
         assert widest == (32, 120, 64)
         assert sum(buf.shape == widest and buf.dtype == np.float64
                    for _, buf in ws._lent) == 8
+
+    def test_default_step_lends_no_bool_buffer(self):
+        """Each op checks its output's finiteness through a temporary mask;
+        masks lent by the workspace were 34 bool buffers (1.82 MiB) held
+        for the whole default step."""
+        config = ModelConfig()
+        rng = np.random.default_rng(0)
+        x = 1.0 + 0.1 * rng.standard_normal((32, config.lookback, 1))
+        y = 1.0 + 0.1 * rng.standard_normal((32, config.horizon))
+        model = TimeMixerModel(config)
+        ws = Workspace()
+        _step(model, Adam(model), ws, *_normalized_batch(x, y))
+        assert ws._lent
+        assert {buf.dtype for _, buf in ws._lent} == {np.dtype(np.float64)}
 
 
 @pytest.mark.slow
