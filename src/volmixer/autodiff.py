@@ -15,6 +15,13 @@ pass that resets one between chunks of windows reuses one chunk's; the arrays
 of the previous step or chunk are overwritten by the next. Outside every
 workspace block, each op allocates fresh arrays.
 
+An op gives back, before the ``reset``, what it will not read again: its
+scratch once read, and a gradient it formed once ``_accumulate`` has added
+it into the receiving tensor's ``grad`` or copied it into a ``grad_buffer``.
+So later ops of the same step take those buffers again. Op outputs, what a
+backward closure still reads and the gradients tensors keep stay lent until
+the ``reset``.
+
 ``linear``, ``time_linear`` and ``segment_linear`` add their biases as one
 (T, width) block, laid out like the output's last two axes, in a single add
 broadcast over the leading axes, and sum a bias gradient over the leading
@@ -56,9 +63,11 @@ class TapeError(RuntimeError):
 
 class _Fresh:
     """Where ops outside every workspace block take arrays from: each
-    ``empty`` is a new array, and nothing is kept."""
+    ``empty`` is a new array, nothing is kept, and ``give_back`` does
+    nothing."""
 
     empty = staticmethod(np.empty)
+    give_back = staticmethod(lambda buf: None)
 
 
 _FRESH = _Fresh()
@@ -90,6 +99,7 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g: np.ndarray,
+                    back_to: "Workspace | _Fresh | None" = None,
                     copy_from: "Workspace | _Fresh | None" = None) -> None:
         """Add ``g`` into ``grad``.
 
@@ -100,6 +110,10 @@ class Tensor:
         a later ``+=`` into ``grad`` must not write into ``g``. A first
         gradient is copied into ``grad_buffer`` when there is one, not added
         to it, so its signed zeros keep their bytes.
+
+        A caller that took ``g`` from a workspace for this call alone passes
+        that workspace as ``back_to``: a ``g`` not kept as ``grad`` goes back
+        there.
         """
         if self.grad is not None:
             self.grad += g
@@ -108,9 +122,12 @@ class Tensor:
             np.copyto(self.grad, g)
         elif copy_from is None:
             self.grad = g
+            return
         else:
             self.grad = copy_from.empty(g.shape)
             np.copyto(self.grad, g)
+        if back_to is not None:
+            back_to.give_back(g)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -167,21 +184,42 @@ class Workspace:
 
     While the block is the innermost one entered, every op takes its arrays
     from the workspace. ``empty`` lends a buffer, cutting a new one from the
-    heap only when every buffer of that shape is lent; ``reset`` takes all
-    of them back, so the next step's ``empty`` calls get the same buffers
-    and overwrite what the previous step left there. The buffers are freed
-    with the workspace, once nothing else holds them.
+    heap only when every buffer of that shape is lent. ``give_back`` takes
+    one buffer back before the step ends, once its op will not read it
+    again, and the next ``empty`` of that shape lends it first. ``reset``
+    takes all of them back, in the order they were cut, so a step that
+    repeats the previous step's ``empty`` and ``give_back`` calls gets the
+    same buffers and overwrites what that step left there. The buffers are
+    freed with the workspace, once nothing else holds them.
     """
 
     def __init__(self):
+        self._cut: dict[tuple, list[np.ndarray]] = {}
         self._free: dict[tuple, list[np.ndarray]] = {}
         self._lent: list[tuple[tuple, np.ndarray]] = []
 
     def empty(self, shape: tuple) -> np.ndarray:
         free = self._free.get(shape)
-        buf = free.pop() if free else np.empty(shape)
+        if free:
+            buf = free.pop()
+        else:
+            buf = np.empty(shape)
+            self._cut.setdefault(shape, []).append(buf)
         self._lent.append((shape, buf))
         return buf
+
+    def give_back(self, buf: np.ndarray) -> None:
+        """Take back ``buf``, which this workspace lends; anything else, such
+        as a view of it or a buffer already given back, raises
+        ``ValueError``."""
+        lent = self._lent
+        # a buffer comes back soon after it was lent: search from the end
+        for i in range(len(lent) - 1, -1, -1):
+            if lent[i][1] is buf:
+                shape, _ = lent.pop(i)
+                self._free.setdefault(shape, []).append(buf)
+                return
+        raise ValueError("give_back: the buffer is not lent by this workspace")
 
     def __enter__(self) -> "Workspace":
         _POOLS.append(self)
@@ -191,10 +229,8 @@ class Workspace:
         _POOLS.pop()
 
     def reset(self) -> None:
-        # reversed, so that ``pop`` lends the buffers in the order the
-        # previous step took them
-        for key, buf in reversed(self._lent):
-            self._free.setdefault(key, []).append(buf)
+        # reversed, so that ``pop`` lends each shape's buffers in cut order
+        self._free = {shape: bufs[::-1] for shape, bufs in self._cut.items()}
         self._lent.clear()
 
 
@@ -204,7 +240,9 @@ class Tape:
     Recorded inside ``with workspace:``, the ops and their backward take
     every array from that workspace, so the tape's outputs and the gradients
     ``backward`` leaves on tensors without a ``grad_buffer`` are overwritten
-    once the workspace is reset for the next step.
+    once the workspace is reset for the next step. Until then they stay
+    lent; ``backward`` gives back only the gradients it adds into a
+    ``grad`` or copies into a ``grad_buffer``, and the ops' scratch.
     """
 
     def __init__(self):
@@ -331,7 +369,7 @@ def subtract(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a._accumulate(g, copy_from=ws)
         if b.requires_grad:
-            b._accumulate(np.negative(g, out=ws.empty(g.shape)))
+            b._accumulate(np.negative(g, out=ws.empty(g.shape)), ws)
 
     return _make(np.subtract(a.values, b.values, out=ws.empty(a.shape)),
                  (a, b), bwd, "subtract")
@@ -345,9 +383,9 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a._accumulate(np.multiply(g, bv, out=ws.empty(g.shape)))
+            a._accumulate(np.multiply(g, bv, out=ws.empty(g.shape)), ws)
         if b.requires_grad:
-            b._accumulate(np.multiply(g, av, out=ws.empty(g.shape)))
+            b._accumulate(np.multiply(g, av, out=ws.empty(g.shape)), ws)
 
     return _make(np.multiply(av, bv, out=ws.empty(a.shape)), (a, b), bwd,
                  "multiply")
@@ -361,17 +399,19 @@ def mean(x: Tensor) -> Tensor:
         if x.requires_grad:
             gx = ws.empty(x.shape)
             gx.fill(float(g) / n)
-            x._accumulate(gx)
+            x._accumulate(gx, ws)
 
     return _make(np.asarray(x.values.mean()), (x,), bwd, "mean")
 
 
-def _add_block(out: np.ndarray, block: np.ndarray) -> None:
+def _add_block(out: np.ndarray, block: np.ndarray, ws) -> None:
     """``out += block`` for a contiguous (..., T, width) ``out`` and a
-    (T, width) ``block``: one broadcast over the leading axes, whose inner
-    loop runs over the whole block instead of one row of ``width``."""
+    (T, width) ``block`` lent by ``ws``, which then takes it back: one
+    broadcast over the leading axes, whose inner loop runs over the whole
+    block instead of one row of ``width``."""
     view = out.reshape((-1,) + block.shape)
     view += block
+    ws.give_back(block)
 
 
 def _lead_sum(g: np.ndarray, rows: int, width: int, ws) -> np.ndarray:
@@ -379,6 +419,16 @@ def _lead_sum(g: np.ndarray, rows: int, width: int, ws) -> np.ndarray:
     (rows, width) block, adding whole blocks rather than narrow rows."""
     return np.sum(g.reshape(-1, rows, width), axis=0,
                   out=ws.empty((rows, width)))
+
+
+def _bias_grad(g: np.ndarray, rows: int, width: int, axis: int,
+               ws) -> np.ndarray:
+    """A bias gradient: ``g``'s ``_lead_sum`` block summed along ``axis``
+    (0 for one value per column, 1 per row); the block goes back."""
+    block = _lead_sum(g, rows, width, ws)
+    out = np.sum(block, axis=axis, out=ws.empty((block.shape[1 - axis],)))
+    ws.give_back(block)
+    return out
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
@@ -400,19 +450,18 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     if bias is not None:
         block = ws.empty((rows, n_out))
         block[...] = bias.values
-        _add_block(out_vals, block)
+        _add_block(out_vals, block, ws)
 
     def bwd(g):
         if x.requires_grad:
             x._accumulate(np.matmul(g, weight.values.T,
-                                    out=ws.empty(xv.shape)))
+                                    out=ws.empty(xv.shape)), ws)
         if weight.requires_grad:
             weight._accumulate(np.matmul(xv.reshape(-1, n_in).T,
                                          g.reshape(-1, n_out),
-                                         out=ws.empty((n_in, n_out))))
+                                         out=ws.empty((n_in, n_out))), ws)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(np.sum(_lead_sum(g, rows, n_out, ws), axis=0,
-                                    out=ws.empty((n_out,))))
+            bias._accumulate(_bias_grad(g, rows, n_out, 0, ws), ws)
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
     return _make(out_vals, inputs, bwd, "linear")
@@ -487,10 +536,13 @@ def gelu(x: Tensor) -> Tensor:
             _gelu_block(flat_v[lo:lo + n], flat_out[lo:lo + n], t[:n],
                         flat_deriv[lo:lo + n] if grad else None,
                         d[:n] if grad else None)
+    ws.give_back(t)
+    if grad:
+        ws.give_back(d)
 
     def bwd(g):
         np.multiply(deriv, g, out=deriv)
-        x._accumulate(deriv)
+        x._accumulate(deriv, ws)
 
     return _make(out, (x,), bwd, "gelu")
 
@@ -526,14 +578,14 @@ def time_linear(x: Tensor, a, bias: Optional[Tensor] = None,
     if bias is not None:
         block = ws.empty((t_out, width))
         block[...] = bias.values[:, None]
-        _add_block(out_vals, block)
+        _add_block(out_vals, block, ws)
 
     def bwd(g):
         if x.requires_grad:
             gx = np.matmul(av, g, out=ws.empty(xv.shape))
             if denom != 1.0:
                 gx /= denom
-            x._accumulate(gx)
+            x._accumulate(gx, ws)
         if learned and a.requires_grad:
             # x as (T, n·C) and g as (n·C, T'), n the windows, copied in the
             # order ``np.tensordot`` copies them in, so one GEMM of the same
@@ -546,12 +598,13 @@ def time_linear(x: Tensor, a, bias: Optional[Tensor] = None,
             np.copyto(gt.reshape(lead + (width, t_out)),
                       np.swapaxes(g, -1, -2))
             ga = np.dot(xt, gt, out=ws.empty((t_in, t_out)))
+            ws.give_back(xt)
+            ws.give_back(gt)
             if denom != 1.0:
                 ga /= denom
-            a._accumulate(ga)
+            a._accumulate(ga, ws)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(np.sum(_lead_sum(g, t_out, width, ws), axis=1,
-                                    out=ws.empty((t_out,))))
+            bias._accumulate(_bias_grad(g, t_out, width, 1, ws), ws)
 
     inputs = (x,) + ((a,) if learned else ())
     inputs += (bias,) if bias is not None else ()
@@ -593,14 +646,14 @@ def segment_linear(x: Tensor, weights: Sequence[Tensor],
     for w, b, (lo, hi) in zip(weights, biases, bounds):
         np.matmul(xv[..., lo:hi, :], w.values, out=out_vals[..., lo:hi, :])
         block[lo:hi] = b.values
-    _add_block(out_vals, block)
+    _add_block(out_vals, block, ws)
 
     def bwd(g):
         if x.requires_grad:
             gx = ws.empty(xv.shape)
             for w, (lo, hi) in zip(weights, bounds):
                 np.matmul(g[..., lo:hi, :], w.values.T, out=gx[..., lo:hi, :])
-            x._accumulate(gx)
+            x._accumulate(gx, ws)
         x3, g3 = xv.reshape(-1, rows, n_in), g.reshape(-1, rows, n_out)
         per_window = ws.empty((x3.shape[0], n_in, n_out))
         g_block = _lead_sum(g, rows, n_out, ws)
@@ -609,10 +662,12 @@ def segment_linear(x: Tensor, weights: Sequence[Tensor],
                 np.matmul(x3[:, lo:hi].transpose(0, 2, 1), g3[:, lo:hi],
                           out=per_window)
                 w._accumulate(np.sum(per_window, axis=0,
-                                     out=ws.empty((n_in, n_out))))
+                                     out=ws.empty((n_in, n_out))), ws)
             if b.requires_grad:
                 b._accumulate(np.sum(g_block[lo:hi], axis=0,
-                                     out=ws.empty((n_out,))))
+                                     out=ws.empty((n_out,))), ws)
+        ws.give_back(per_window)
+        ws.give_back(g_block)
 
     return _make(out_vals, (x, *weights, *biases), bwd, "segment_linear")
 
@@ -699,24 +754,28 @@ def cascade(up_base: np.ndarray, up_weights: Sequence[Tensor],
             g_prod = g_up[:lo + 1, lo:hi]
             if w.requires_grad:
                 w._accumulate(np.matmul(up[:lo + 1, fine:lo].T, g_prod,
-                                        out=ws.empty(w.shape)))
+                                        out=ws.empty(w.shape)), ws)
             if b.requires_grad:
                 b._accumulate(g_prod[0], copy_from=ws)
             back = np.matmul(g_prod, w.values.T,
                              out=ws.empty((lo + 1, lo - fine)))
             g_up[:lo + 1, fine:lo] += back
+            ws.give_back(back)
+        ws.give_back(g_up)
         for m in range(n - 1):
             (lo, hi), (_, coarse) = bounds[m], bounds[m + 1]
             w, b = down_weights[m], down_biases[m]
             g_prod = g_down[hi:, lo:hi]
             if w.requires_grad:
                 w._accumulate(np.matmul(down[hi:, hi:coarse].T, g_prod,
-                                        out=ws.empty(w.shape)))
+                                        out=ws.empty(w.shape)), ws)
             if b.requires_grad:
                 b._accumulate(g_prod[-1], copy_from=ws)
             back = np.matmul(g_prod, w.values.T,
                              out=ws.empty((total + 1 - hi, coarse - hi)))
             g_down[hi:, hi:coarse] += back
+            ws.give_back(back)
+        ws.give_back(g_down)
 
     _record((a, bias), params, bwd)
     return a, bias

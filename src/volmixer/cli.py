@@ -316,12 +316,11 @@ def _load_checkpoint(config: RunConfig, entry, horizon: int):
     if not ckpt.exists():
         raise CheckpointError(f"missing checkpoint {ckpt}; run 'train' first")
     model = TimeMixerModel.load(ckpt)
-    wanted = config.model_config(horizon)
-    for key in ("lookback", "channels", "horizon"):
-        found, want = getattr(model.config, key), getattr(wanted, key)
-        if found != want:
-            raise CheckpointError(f"{ckpt}: checkpoint has {key} {found}, "
-                                  f"the run config {want}")
+    found, wanted = asdict(model.config), asdict(config.model_config(horizon))
+    for key, want in wanted.items():
+        if found[key] != want:
+            raise CheckpointError(f"{ckpt}: checkpoint has {key} "
+                                  f"{found[key]}, the run config {want}")
     return model
 
 

@@ -208,7 +208,9 @@ class TestGeluBlocks:
         assert y.values.shape == shape
         assert y.values.tobytes() == ref.tobytes()
         assert x.values.tobytes() == v.tobytes()
-        whole = [b for _, b in ws._lent
+        held = [b for _, b in ws._lent] + [b for free in ws._free.values()
+                                           for b in free]
+        whole = [b for b in held
                  if b.dtype == np.float64 and b.shape == shape]
         one_pass = v.size <= ad._GELU_BLOCK
         # the output and, in one pass, its scratch; under a tape, the
@@ -508,6 +510,71 @@ class TestWorkspace:
         ws.reset()
         again = [ws.empty(shape) for shape in wants]
         assert all(x is y for x, y in zip(again, bufs))
+
+    # a call on a workspace: ("empty", shape), ("give_back", i) of the i-th
+    # buffer lent (mod their count), ("bad", kind, i) or ("reset",)
+    CALLS = st.one_of(
+        st.tuples(st.just("empty"), st.sampled_from([(), (0,), (2,), (2, 3)])),
+        st.tuples(st.just("give_back"), st.integers(0, 20)),
+        st.tuples(st.just("bad"), st.sampled_from(["foreign", "view",
+                                                   "again"]),
+                  st.integers(0, 20)),
+        st.just(("reset",)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(CALLS, max_size=40))
+    def test_given_back_buffers_are_lent_again_before_reset(self, calls):
+        """Lent buffers never overlap; a buffer given back is the next one
+        lent of its shape; after ``reset`` the same calls get the same
+        buffers; giving back what is not lent raises ``ValueError``."""
+        ws = Workspace()
+
+        def run(segment):
+            """Make ``segment``'s calls; the buffers its ``empty`` calls got."""
+            got, lent, back = [], [], {}    # back: given back, by shape
+            for call in segment:
+                if call[0] == "empty":
+                    buf = ws.empty(call[1])
+                    assert buf.shape == call[1] and buf.dtype == np.float64
+                    if back.get(call[1]):
+                        assert buf is back[call[1]].pop()
+                    assert not any(np.shares_memory(buf, b) for b in lent)
+                    got.append(buf)
+                    lent.append(buf)
+                elif call[0] == "give_back" and lent:
+                    buf = lent.pop(call[1] % len(lent))
+                    ws.give_back(buf)
+                    back.setdefault(buf.shape, []).append(buf)
+                elif call[0] == "bad":
+                    _, kind, i = call
+                    gone = [b for bufs in back.values() for b in bufs]
+                    bad = {"foreign": np.empty((2,)),
+                           "view": lent[i % len(lent)][...] if lent else None,
+                           "again": gone[i % len(gone)] if gone else None}
+                    if bad[kind] is not None:
+                        with pytest.raises(ValueError):
+                            ws.give_back(bad[kind])
+                assert {id(b) for _, b in ws._lent} == set(map(id, lent))
+            return got
+
+        segments = [[]]
+        for call in calls:
+            if call == ("reset",):
+                segments.append([])
+            else:
+                segments[-1].append(call)
+        first = []
+        for segment in segments:
+            ws.reset()
+            first.append(run(segment))
+        for segment, got in zip(segments, first):
+            ws.reset()
+            assert all(a is b for a, b in zip(run(segment), got))
+
+    def test_fresh_arrays_are_not_taken_back(self):
+        buf = ad._FRESH.empty((2, 3))
+        assert ad._FRESH.give_back(buf) is None
+        assert not np.shares_memory(ad._FRESH.empty((2, 3)), buf)
 
     def test_innermost_entered_workspace_lends(self, rng):
         outer, inner = Workspace(), Workspace()

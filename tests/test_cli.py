@@ -593,6 +593,10 @@ class TestPipeline:
     @pytest.mark.parametrize("override, key, found, want", [
         ("covariates=true", "channels", 1, 3),
         ("lookback=48", "lookback", 32, 48),
+        ("d_model=8", "d_model", 4, 8),
+        ("num_blocks=3", "num_blocks", 1, 3),
+        ("decomp_kernel=5", "decomp_kernel", 9, 5),
+        ("seed=3", "seed", 0, 3),
     ])
     def test_checkpoint_config_mismatch_fails_its_pair(
             self, workspace, capsys, override, key, found, want):

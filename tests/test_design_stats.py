@@ -19,5 +19,5 @@ def test_reports_this_repository():
     assert stats["src_lines"]["total"] == int(wc.stdout.split()[-2])
     assert set(stats["src_lines"]) == {p.name for p in modules} | {"total"}
     assert stats["tape_nodes"] == {"1": 17, "32": 17}
-    assert set(stats["step_lends"]) == {"float64"}
-    assert stats["step_lends"]["float64"]["buffers"] > 0
+    assert set(stats["step_pool"]) == {"float64"}
+    assert stats["step_pool"]["float64"]["buffers"] > 0

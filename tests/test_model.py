@@ -484,8 +484,8 @@ class TestPredictNormalized:
         k = _chunk_windows(model.config)
         x = rng.normal(size=(3 * k + 2, 64, 1))
         expected = model.forward(x)
-        lent = [b for _, b in model._forward_pool._lent]
-        assert lent
+        held = pooled(model)
+        assert held
         bad = x.copy()
         bad[k + 1, 5, 0] = np.nan
         with pytest.raises(ad.NumericError):
@@ -495,9 +495,7 @@ class TestPredictNormalized:
             assert model.forward(x[:n]).tobytes() == expected[:n].tobytes()
             assert model.predict_normalized(instance_normalize(x[:n])[0]) \
                 .shape == (n, 12)
-        pooled = [b for free in model._forward_pool._free.values()
-                  for b in free] + [b for _, b in model._forward_pool._lent]
-        assert sorted(map(id, pooled)) == sorted(map(id, lent))
+        assert pooled(model) == held
 
 
 def pooled(model) -> list[int]:

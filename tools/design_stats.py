@@ -9,8 +9,9 @@ It prints one JSON line:
   as ``wc -l`` counts them) and their ``total``;
 - ``tape_nodes``: the tape nodes that a default ``forward_normalized``
   records, at batch 1 and at batch 32;
-- ``step_lends``: the buffers, and their MiB, that one default batch-32
-  training step lends from a fresh workspace, by dtype.
+- ``step_pool``: the buffers, and their MiB, that a fresh workspace holds
+  after one default batch-32 training step, by dtype: every buffer it cut,
+  whether still lent or given back within the step.
 
 The model numbers come from a fresh subprocess with ``PYTHONPATH`` set to
 ``TREE/src``, so any two trees can be compared from this one script.
@@ -51,14 +52,15 @@ model = TimeMixerModel(config)
 ws = ad.Workspace()
 training._step(model, training.Adam(model), ws,
                *training._normalized_batch(x, y))
-lends = {}
-for _, buf in ws._lent:
-    entry = lends.setdefault(buf.dtype.name, {"buffers": 0, "mib": 0.0})
+pool = {}
+for buf in [b for _, b in ws._lent] + [b for free in ws._free.values()
+                                       for b in free]:
+    entry = pool.setdefault(buf.dtype.name, {"buffers": 0, "mib": 0.0})
     entry["buffers"] += 1
     entry["mib"] += buf.nbytes / 2 ** 20
-for entry in lends.values():
+for entry in pool.values():
     entry["mib"] = round(entry["mib"], 3)
-print(json.dumps({"tape_nodes": nodes, "step_lends": lends}))
+print(json.dumps({"tape_nodes": nodes, "step_pool": pool}))
 """
 
 
