@@ -479,10 +479,15 @@ def _gelu_block(v, out, t, deriv, d) -> None:
 
     ``t = tanh(c * (v + k * v * v * v))`` and ``out = 0.5 * v * (1 + t)``;
     the derivative is ``0.5 * (1 + t) + 0.5 * v * (1 - t * t) * d_inner``
-    with ``d_inner = c * (1 + 3k * v * v)``, each rounded in that order.
+    with ``d_inner = c * (1 + 3k * v * v)``, each rounded in that order. With
+    the derivative, ``v * v`` is formed once, in ``d``, for both.
     """
-    np.multiply(v, v, out=t)
-    t *= v
+    if deriv is None:
+        np.multiply(v, v, out=t)
+        t *= v
+    else:
+        np.multiply(v, v, out=d)
+        np.multiply(d, v, out=t)
     t *= 0.044715
     t += v
     t *= _GELU_C
@@ -492,8 +497,7 @@ def _gelu_block(v, out, t, deriv, d) -> None:
     out *= 0.5
     if deriv is None:
         return
-    np.multiply(v, v, out=d)                                # d_inner
-    d *= 3 * 0.044715
+    d *= 3 * 0.044715                                       # d_inner
     d += 1.0
     d *= _GELU_C
     np.add(t, 1.0, out=deriv)                               # first term
@@ -506,21 +510,9 @@ def _gelu_block(v, out, t, deriv, d) -> None:
     deriv += t
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Elementwise x * Phi(x), tanh approximation.
-
-    Cubes and squares are products, not ``**`` (NumPy's generic power path is
-    slow), and ``x`` is never written. An input of more than ``_GELU_BLOCK``
-    elements is worked through in blocks of that many, each with its own
-    passes over block-sized scratch; a smaller one in one go on whole arrays
-    (``out=`` keeps them arrays for 0-d input). Being elementwise, the
-    results do not depend on the blocks. Under a tape the same pass forms
-    the derivative, the one array the node keeps, and the backward
-    multiplies it by the output gradient in place.
-    """
-    v = x.values
-    ws = _workspace()
-    grad = x.requires_grad and active_tape() is not None
+def _gelu_pass(v: np.ndarray, ws, grad: bool):
+    """``(out, deriv)``: GELU of ``v`` and, if ``grad``, its derivative
+    (else None), each a new array of ``v``'s shape; the scratch goes back."""
     whole = v.size <= _GELU_BLOCK
     out = ws.empty(v.shape)
     deriv = ws.empty(v.shape) if grad else None
@@ -539,6 +531,24 @@ def gelu(x: Tensor) -> Tensor:
     ws.give_back(t)
     if grad:
         ws.give_back(d)
+    return out, deriv
+
+
+def gelu(x: Tensor) -> Tensor:
+    """Elementwise x * Phi(x), tanh approximation.
+
+    Cubes and squares are products, not ``**`` (NumPy's generic power path is
+    slow), and ``x`` is never written. An input of more than ``_GELU_BLOCK``
+    elements is worked through in blocks of that many, each with its own
+    passes over block-sized scratch; a smaller one in one go on whole arrays
+    (``out=`` keeps them arrays for 0-d input). Being elementwise, the
+    results do not depend on the blocks. Under a tape the same pass forms
+    the derivative, the one array the node keeps, and the backward
+    multiplies it by the output gradient in place.
+    """
+    ws = _workspace()
+    out, deriv = _gelu_pass(x.values, ws,
+                            x.requires_grad and active_tape() is not None)
 
     def bwd(g):
         np.multiply(deriv, g, out=deriv)
@@ -562,6 +572,8 @@ def time_linear(x: Tensor, a, bias: Optional[Tensor] = None,
     """
     learned = isinstance(a, Tensor)
     av = a.values if learned else a
+    if av.ndim != 2:
+        raise ShapeError(f"time_linear: map of shape {av.shape} is not 2-D")
     t_in, t_out = av.shape
     xv = x.values
     if xv.ndim < 2 or xv.shape[-2] != t_in:
@@ -617,6 +629,62 @@ def _bounds(lengths: Sequence[int]) -> list[tuple[int, int]]:
     return list(zip([0] + ends[:-1], ends))
 
 
+def _segments(op: str, shape: tuple, weights: Sequence[Tensor],
+              biases: Sequence[Tensor], lengths: Sequence[int]):
+    """``(bounds, (n_in, n_out))``: the segments of ``lengths`` and the
+    weights' shape, once an input of ``shape`` and one (n_in, n_out) weight
+    and (n_out,) bias per segment fit them; else ``ShapeError``."""
+    first = weights[0].shape if weights else ()
+    if (len(first) != 2 or len(shape) < 2
+            or shape[-2:] != (sum(lengths), first[0])
+            or not len(weights) == len(biases) == len(lengths)
+            or any(w.shape != first or b.shape != first[1:]
+                   for w, b in zip(weights, biases))):
+        raise ShapeError(f"{op}: input {shape}, segments {list(lengths)}, "
+                         f"weights {[w.shape for w in weights]}, biases "
+                         f"{[b.shape for b in biases]}")
+    return _bounds(lengths), first
+
+
+def _segment_matmul(v: np.ndarray, mats, bounds, n_out: int, ws,
+                    biases: Optional[Sequence[Tensor]] = None) -> np.ndarray:
+    """A new (..., ΣT, n_out) array: ``v``'s time segment m times
+    ``mats[m]``, plus, if given, ``biases[m]`` through a (ΣT, n_out) block
+    holding it in segment m's rows."""
+    out = ws.empty(v.shape[:-1] + (n_out,))
+    for mat, (lo, hi) in zip(mats, bounds):
+        np.matmul(v[..., lo:hi, :], mat, out=out[..., lo:hi, :])
+    if biases is not None:
+        block = ws.empty((bounds[-1][1], n_out))
+        for b, (lo, hi) in zip(biases, bounds):
+            block[lo:hi] = b.values
+        _add_block(out, block, ws)
+    return out
+
+
+def _segment_param_grads(v: np.ndarray, g: np.ndarray, weights, biases,
+                         bounds, ws) -> None:
+    """Add the gradients of ``v_m @ weights[m] + biases[m]`` for the output
+    gradient ``g`` into the weights and biases that need them: weight m's
+    is ``v_mᵀ @ g_m`` per window, one batched matmul, summed over the
+    windows; bias m's sums segment m's rows of ``g``'s ``_lead_sum``."""
+    rows, n_in, n_out = bounds[-1][1], v.shape[-1], g.shape[-1]
+    v3, g3 = v.reshape(-1, rows, n_in), g.reshape(-1, rows, n_out)
+    per_window = ws.empty((v3.shape[0], n_in, n_out))
+    g_block = _lead_sum(g, rows, n_out, ws)
+    for w, b, (lo, hi) in zip(weights, biases, bounds):
+        if w.requires_grad:
+            np.matmul(v3[:, lo:hi].transpose(0, 2, 1), g3[:, lo:hi],
+                      out=per_window)
+            w._accumulate(np.sum(per_window, axis=0,
+                                 out=ws.empty((n_in, n_out))), ws)
+        if b.requires_grad:
+            b._accumulate(np.sum(g_block[lo:hi], axis=0,
+                                 out=ws.empty((n_out,))), ws)
+    ws.give_back(per_window)
+    ws.give_back(g_block)
+
+
 def segment_linear(x: Tensor, weights: Sequence[Tensor],
                    biases: Sequence[Tensor], lengths: Sequence[int]) -> Tensor:
     """``linear`` with its own weight and bias on each time segment.
@@ -629,47 +697,80 @@ def segment_linear(x: Tensor, weights: Sequence[Tensor],
     ``x_mᵀ @ g_m`` per window, one batched matmul, summed over the windows.
     """
     xv = x.values
-    n_in, n_out = weights[0].shape
-    if (xv.ndim < 2 or xv.shape[-2:] != (sum(lengths), n_in)
-            or not len(weights) == len(biases) == len(lengths)
-            or any(w.shape != (n_in, n_out) or b.shape != (n_out,)
-                   for w, b in zip(weights, biases))):
-        raise ShapeError(f"segment_linear: input {x.shape}, segments "
-                         f"{list(lengths)}, weights "
-                         f"{[w.shape for w in weights]}, biases "
-                         f"{[b.shape for b in biases]}")
-    bounds = _bounds(lengths)
-    rows = bounds[-1][1]
+    bounds, (n_in, n_out) = _segments("segment_linear", xv.shape, weights,
+                                      biases, lengths)
     ws = _workspace()
-    out_vals = ws.empty(xv.shape[:-1] + (n_out,))
-    block = ws.empty((rows, n_out))
-    for w, b, (lo, hi) in zip(weights, biases, bounds):
-        np.matmul(xv[..., lo:hi, :], w.values, out=out_vals[..., lo:hi, :])
-        block[lo:hi] = b.values
-    _add_block(out_vals, block, ws)
+    out_vals = _segment_matmul(xv, [w.values for w in weights], bounds, n_out,
+                               ws, biases)
 
     def bwd(g):
         if x.requires_grad:
-            gx = ws.empty(xv.shape)
-            for w, (lo, hi) in zip(weights, bounds):
-                np.matmul(g[..., lo:hi, :], w.values.T, out=gx[..., lo:hi, :])
-            x._accumulate(gx, ws)
-        x3, g3 = xv.reshape(-1, rows, n_in), g.reshape(-1, rows, n_out)
-        per_window = ws.empty((x3.shape[0], n_in, n_out))
-        g_block = _lead_sum(g, rows, n_out, ws)
-        for w, b, (lo, hi) in zip(weights, biases, bounds):
-            if w.requires_grad:
-                np.matmul(x3[:, lo:hi].transpose(0, 2, 1), g3[:, lo:hi],
-                          out=per_window)
-                w._accumulate(np.sum(per_window, axis=0,
-                                     out=ws.empty((n_in, n_out))), ws)
-            if b.requires_grad:
-                b._accumulate(np.sum(g_block[lo:hi], axis=0,
-                                     out=ws.empty((n_out,))), ws)
-        ws.give_back(per_window)
-        ws.give_back(g_block)
+            x._accumulate(_segment_matmul(g, [w.values.T for w in weights],
+                                          bounds, n_in, ws), ws)
+        _segment_param_grads(xv, g, weights, biases, bounds, ws)
 
     return _make(out_vals, (x, *weights, *biases), bwd, "segment_linear")
+
+
+def residual_feedforward(res: Tensor, x: Tensor, w1s: Sequence[Tensor],
+                         b1s: Sequence[Tensor], w2s: Sequence[Tensor],
+                         b2s: Sequence[Tensor],
+                         lengths: Sequence[int]) -> Tensor:
+    """``add(res, segment_linear(gelu(segment_linear(x, w1s, b1s, lengths)),
+    w2s, b2s, lengths))`` as one op, a residual feedforward with its own
+    weights on each time segment. Each stage runs the code of its op on the
+    same operands in the same order, so outputs and gradients are theirs
+    byte for byte.
+
+    It checks finiteness where those ops do, under their names:
+    ``'segment_linear'`` after each matmul stage, then ``'gelu'`` and
+    ``'add'``, so a ``NumericError`` names the same op as theirs would.
+
+    The node keeps ``x``, the hidden layer (the GELU output) and its
+    derivative. The pre-activation goes back once GELU has read it and, with
+    no gradient to form, the hidden layer once the second stage has read
+    it; ``res`` is added into the output in place. The backward's
+    hidden-layer gradient goes back once multiplied into the derivative, and
+    ``res`` takes the output gradient itself, after every read of it.
+    """
+    shape = x.shape
+    bounds, (n_in, hid) = _segments("residual_feedforward", shape, w1s, b1s,
+                                    lengths)
+    _, (_, n_out) = _segments("residual_feedforward", shape[:-1] + (hid,),
+                              w2s, b2s, lengths)
+    if res.shape != shape[:-1] + (n_out,):
+        raise ShapeError(f"residual_feedforward: residual {res.shape} != "
+                         f"output {shape[:-1] + (n_out,)}")
+    inputs = (res, x, *w1s, *b1s, *w2s, *b2s)
+    grad = (active_tape() is not None
+            and any(t.requires_grad for t in inputs))
+    ws = _workspace()
+    xv = x.values
+    pre = _segment_matmul(xv, [w.values for w in w1s], bounds, hid, ws, b1s)
+    _check_finite(pre, "segment_linear")
+    hidden, deriv = _gelu_pass(pre, ws, grad)
+    ws.give_back(pre)
+    _check_finite(hidden, "gelu")
+    out = _segment_matmul(hidden, [w.values for w in w2s], bounds, n_out, ws,
+                          b2s)
+    _check_finite(out, "segment_linear")
+    if not grad:
+        ws.give_back(hidden)
+    out += res.values
+
+    def bwd(g):
+        g_a = _segment_matmul(g, [w.values.T for w in w2s], bounds, hid, ws)
+        _segment_param_grads(hidden, g, w2s, b2s, bounds, ws)
+        np.multiply(deriv, g_a, out=deriv)
+        ws.give_back(g_a)
+        if x.requires_grad:
+            x._accumulate(_segment_matmul(deriv, [w.values.T for w in w1s],
+                                          bounds, n_in, ws), ws)
+        _segment_param_grads(xv, deriv, w1s, b1s, bounds, ws)
+        if res.requires_grad:
+            res._accumulate(g)
+
+    return _make(out, inputs, bwd, "add")
 
 
 def cascade(up_base: np.ndarray, up_weights: Sequence[Tensor],
@@ -783,7 +884,7 @@ def cascade(up_base: np.ndarray, up_weights: Sequence[Tensor],
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
     """Stack tensors along their first axis."""
-    if any(p.shape[1:] != parts[0].shape[1:] for p in parts):
+    if not parts or any(p.shape[1:] != parts[0].shape[1:] for p in parts):
         raise ShapeError(f"concat: shapes {[p.shape for p in parts]}")
     bounds = _bounds([p.shape[0] for p in parts])
     ws = _workspace()

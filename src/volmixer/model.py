@@ -143,19 +143,22 @@ def _stack_maps(lookback: int, num_scales: int,
     block-diagonal (ΣT, ΣT) seasonal and trend parts of every scale.
 
     They are ``build_multiscale`` and ``series_decomp`` applied to identity
-    matrices, so the per-scale reference functions define them.
+    matrices, so the per-scale reference functions define them. They build
+    on a workspace of their own, so that their scratch is not left in the
+    workspace of the call that first asks for them.
     """
-    ladder = np.concatenate([s.values.T for s in build_multiscale(
-        Tensor(np.eye(lookback)), num_scales)], axis=1)
-    total = ladder.shape[1]
-    season, trend = np.zeros((total, total)), np.zeros((total, total))
-    start = 0
-    for m in range(num_scales + 1):
-        t_len = lookback // 2 ** m
-        parts = series_decomp(Tensor(np.eye(t_len)), kernel)
-        for out, part in zip((season, trend), parts):
-            out[start:start + t_len, start:start + t_len] = part.values.T
-        start += t_len
+    with ad.Workspace():
+        ladder = np.concatenate([s.values.T for s in build_multiscale(
+            Tensor(np.eye(lookback)), num_scales)], axis=1)
+        total = ladder.shape[1]
+        season, trend = np.zeros((total, total)), np.zeros((total, total))
+        start = 0
+        for m in range(num_scales + 1):
+            t_len = lookback // 2 ** m
+            parts = series_decomp(Tensor(np.eye(t_len)), kernel)
+            for out, part in zip((season, trend), parts):
+                out[start:start + t_len, start:start + t_len] = part.values.T
+            start += t_len
     for array in (ladder, season, trend):
         array.setflags(write=False)
     return ladder, season, trend
@@ -280,10 +283,11 @@ class TimeMixerModel:
 
         Each scale is split into seasonal and trend parts; seasonal parts mix
         fine-to-coarse, trend parts coarse-to-fine, then a residual channel
-        feedforward, with each scale's own weights, recombines them. Up to
-        the feedforward the block is linear in the stack: one (ΣT, ΣT) time
-        map plus a ΣT bias, built from the mixing weights by ``cascade``;
-        outside a tape, once per state of those weights.
+        feedforward, with each scale's own weights, recombines them: one
+        ``residual_feedforward`` op. Up to the feedforward the block is
+        linear in the stack: one (ΣT, ΣT) time map plus a ΣT bias, built
+        from the mixing weights by ``cascade``; outside a tape, once per
+        state of those weights.
         """
         lengths = self.config.scale_lengths()
         up_w, up_b, down_w, down_b, w1, b1, w2, b2 = self._blocks[layer]
@@ -293,9 +297,7 @@ class TimeMixerModel:
         mixing, bias = self._weights_only(f"block{layer}", lambda: ad.cascade(
             season, up_w, up_b, trend, down_w, down_b))
         mix = ad.time_linear(stack, mixing, bias)
-        hidden = ad.gelu(ad.segment_linear(mix, w1, b1, lengths))
-        out = ad.segment_linear(hidden, w2, b2, lengths)
-        return ad.add(stack, out)
+        return ad.residual_feedforward(stack, mix, w1, b1, w2, b2, lengths)
 
     def fmm_forward(self, stack: Tensor) -> Tensor:
         """Sum of per-scale linear predictors mapping each time length to F:

@@ -739,6 +739,160 @@ class TestSegmentLinear:
                               [3, 2])
 
 
+MALFORMED = {
+    "segment_linear": lambda x: ad.segment_linear(x, [], [], []),
+    "concat": lambda x: ad.concat([]),
+    "time_linear": lambda x: ad.time_linear(x, np.ones(3)),
+    "residual_feedforward": lambda x: ad.residual_feedforward(
+        x, x, [], [], [], [], []),
+}
+
+
+@pytest.mark.parametrize("op", MALFORMED)
+def test_malformed_arguments_raise_shape_error(op):
+    with pytest.raises(ShapeError, match=op):
+        MALFORMED[op](Tensor(np.zeros((2, 3, 4))))
+
+
+def feedforward_leaves(rng, lead, lengths, d, h, res_is_x=False):
+    """``res``, ``x`` and the per-segment weights and biases of a residual
+    feedforward from width ``d`` through ``h`` back to ``d``."""
+    x = leaf(rng, *lead, sum(lengths), d)
+    res = x if res_is_x else leaf(rng, *lead, sum(lengths), d)
+    return (res, x, [leaf(rng, d, h) for _ in lengths],
+            [leaf(rng, h) for _ in lengths],
+            [leaf(rng, h, d) for _ in lengths],
+            [leaf(rng, d) for _ in lengths])
+
+
+def composed_feedforward(res, x, w1s, b1s, w2s, b2s, lengths):
+    """The four ops that ``residual_feedforward`` runs as one."""
+    hidden = ad.gelu(ad.segment_linear(x, w1s, b1s, lengths))
+    return ad.add(res, ad.segment_linear(hidden, w2s, b2s, lengths))
+
+
+def feedforward_run(op, leaves, lengths, taped, pool):
+    """The output's bytes and, under a tape, every leaf's gradient for the
+    loss mean(out * up), ``up`` a fixed random array."""
+    res, x, w1s, b1s, w2s, b2s = leaves
+    tensors = (res, x, *w1s, *b1s, *w2s, *b2s)
+    for t in tensors:
+        t.zero_grad()
+    with pool, (Tape() if taped else contextlib.nullcontext()) as tape:
+        out = op(res, x, w1s, b1s, w2s, b2s, lengths)
+        up = Tensor(np.random.default_rng(3).normal(size=out.shape))
+        loss = ad.mean(ad.multiply(out, up))
+    if not taped:
+        return out.values.tobytes(), []
+    ad.backward(loss, tape)
+    return out.values.tobytes(), [t.grad.tobytes() for t in tensors]
+
+
+class TestResidualFeedforward:
+    CASES = {  # lead axes, segment lengths, d, h, res is x
+        "batch 1": ((1,), [64, 32, 16, 8], 32, 64, False),
+        "default": ((32,), [64, 32, 16, 8], 32, 64, False),
+        "one segment": ((4,), [64], 32, 64, False),
+        "res is x": ((3,), [8, 4, 2], 5, 7, True),
+        "no lead axes": ((), [5, 2], 3, 4, False),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("taped", [False, True])
+    @pytest.mark.parametrize("pool", [contextlib.nullcontext, Workspace])
+    def test_bytes_equal_the_four_ops(self, rng, case, taped, pool):
+        lead, lengths, d, h, res_is_x = self.CASES[case]
+        leaves = feedforward_leaves(rng, lead, lengths, d, h, res_is_x)
+        want = feedforward_run(composed_feedforward, leaves, lengths, taped,
+                               pool())
+        got = feedforward_run(ad.residual_feedforward, leaves, lengths, taped,
+                              pool())
+        assert got == want
+
+    @pytest.mark.parametrize("shape", [((1,), [1], 1, 5),
+                                       ((2,), [4, 2, 1], 3, 5),
+                                       ((3, 2), [2, 3], 2, 4)])
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_bytes_equal_the_four_ops_in_gelu_blocks(self, rng, monkeypatch,
+                                                     shape, taped):
+        monkeypatch.setattr(ad, "_GELU_BLOCK", 7)
+        lead, lengths, d, h = shape
+        leaves = feedforward_leaves(rng, lead, lengths, d, h)
+        for pool in (contextlib.nullcontext, Workspace):
+            assert (feedforward_run(ad.residual_feedforward, leaves, lengths,
+                                    taped, pool())
+                    == feedforward_run(composed_feedforward, leaves, lengths,
+                                       taped, pool()))
+
+    @pytest.mark.parametrize("res_is_x", [False, True])
+    def test_finite_difference(self, rng, res_is_x):
+        leaves = feedforward_leaves(rng, (2,), [3, 2], 3, 4, res_is_x)
+        res, x, w1s, b1s, w2s, b2s = leaves
+
+        def loss():
+            out = ad.residual_feedforward(res, x, w1s, b1s, w2s, b2s, [3, 2])
+            return ad.mean(ad.multiply(out, out))
+
+        tensors = [x, *w1s, *b1s, *w2s, *b2s] + ([] if res_is_x else [res])
+        finite_diff_check(loss, tensors)
+
+    def test_node_keeps_input_hidden_layer_and_derivative(self, rng,
+                                                          monkeypatch):
+        # blocks of 7, so that no GELU scratch has the hidden layer's shape
+        monkeypatch.setattr(ad, "_GELU_BLOCK", 7)
+        lengths = [4, 2]
+        res, x, w1s, b1s, w2s, b2s = feedforward_leaves(rng, (3,), lengths,
+                                                        2, 5)
+        pre = ad.segment_linear(x, w1s, b1s, lengths).values
+        hidden = ad.gelu(Tensor(pre)).values
+        ws = Workspace()
+        with ws, Tape() as tape:
+            out = ad.residual_feedforward(res, x, w1s, b1s, w2s, b2s, lengths)
+        (node,) = tape.nodes
+        kept = [c.cell_contents for c in node.backward_fn.__closure__
+                if isinstance(c.cell_contents, np.ndarray)]
+        assert len(kept) == 3
+        assert any(a is x.values for a in kept)
+        assert any(a.tobytes() == hidden.tobytes() for a in kept)
+        assert not any(a.tobytes() == pre.tobytes() for a in kept)
+        # lent: the output, the hidden layer and its derivative
+        lent = [b for _, b in ws._lent]
+        assert len(lent) == 3 and lent[-1] is out.values
+        g = rng.normal(size=out.shape)
+        with ws:
+            node.backward_fn(g)
+        # the hidden layer's gradient took the pre-activation's buffer, and
+        # gave it back; res took g itself
+        wide = ws._free.get(pre.shape, [])
+        assert len(wide) == 1
+        assert not any(b is wide[0] for _, b in ws._lent)
+        assert res.grad is g
+
+    def test_forward_only_leaves_only_the_output_lent(self, rng):
+        res, x, w1s, b1s, w2s, b2s = feedforward_leaves(rng, (4,), [8, 4],
+                                                        3, 6)
+        ws = Workspace()
+        for taped in (False, True):
+            ws.reset()
+            # under a tape, inputs that need no gradient record nothing
+            with ws, (Tape() if taped else contextlib.nullcontext()) as tape:
+                out = ad.residual_feedforward(
+                    *(Tensor(t.values) for t in (res, x)),
+                    *([Tensor(t.values) for t in group]
+                      for group in (w1s, b1s, w2s, b2s)), [8, 4])
+            assert [b for _, b in ws._lent] == [out.values]
+            assert tape is None or len(tape) == 0
+
+    def test_residual_must_match_the_output(self, rng):
+        res, x, w1s, b1s, w2s, b2s = feedforward_leaves(rng, (2,), [3, 2],
+                                                        3, 4)
+        with pytest.raises(ShapeError, match="residual"):
+            ad.residual_feedforward(Tensor(np.zeros((2, 5, 4))), x, w1s, b1s,
+                                    w2s, b2s, [3, 2])
+        with pytest.raises(ShapeError):
+            ad.residual_feedforward(res, x, w1s, b1s, w2s[:1], b2s, [3, 2])
+
+
 def strided_bias_outputs(x, weights, biases, lengths, a, a_bias):
     """``segment_linear``, ``linear`` (first segment's weight and bias) and
     ``time_linear`` outputs, each bias added per segment as a narrow strided

@@ -18,6 +18,11 @@ def test_reports_this_repository():
                         capture_output=True, text=True, check=True)
     assert stats["src_lines"]["total"] == int(wc.stdout.split()[-2])
     assert set(stats["src_lines"]) == {p.name for p in modules} | {"total"}
-    assert stats["tape_nodes"] == {"1": 17, "32": 17}
-    assert set(stats["step_pool"]) == {"float64"}
-    assert stats["step_pool"]["float64"]["buffers"] > 0
+    assert stats["tape_nodes"] == {"1": 11, "32": 11}
+    for pool in ("step_pool", "forward_pool"):
+        assert set(stats[pool]) == {"float64"}
+        assert stats[pool]["float64"]["buffers"] > 0
+    # the residual feedforward hands back its hidden layer in a forward-only
+    # pass: 18 buffers, 7.9 MiB, when it was four ops
+    assert stats["forward_pool"]["float64"]["buffers"] <= 14
+    assert stats["forward_pool"]["float64"]["mib"] <= 5.0

@@ -353,17 +353,16 @@ class TestForward:
     def test_tape_nodes_of_default_forward(self, rng):
         cfg = ModelConfig()
         # per block: the cascade that builds the time map and bias, the
-        # mixing time_linear, and the residual feedforward (segment_linear,
-        # gelu, segment_linear, add)
-        per_block = 1 + 1 + 4
+        # mixing time_linear, and the residual_feedforward
+        per_block = 1 + 1 + 1
         # the ladder maps the input, which needs no gradient, so it is not
         # recorded; then embed, blocks, head (concat of the predictor
         # weights, time_linear), output projection and reshape
         expected = 1 + cfg.num_blocks * per_block + 2 + 2
-        assert expected == 17
+        assert expected == 11
         # all but the cascades and the head's concat grow with the batch
         batch_sized = expected - cfg.num_blocks - 1
-        assert batch_sized == 14
+        assert batch_sized == 8
         batch = 2
         tape = Tape()
         with tape:
@@ -672,7 +671,7 @@ class TestWeightsOnlyCache:
         with tape:
             model.forward_normalized(x)
         assert calls == {"cascade": 5, "concat": 2}
-        assert len(tape) == 17
+        assert len(tape) == 11
 
 
 class TestGradients:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import finite_diff_check
 from volmixer import autodiff as ad
+from volmixer import model as model_module
 from volmixer import training
 from volmixer.autodiff import Tensor, Workspace
 from volmixer.market_data import make_windows, split_chronological
@@ -263,6 +264,12 @@ def pool_backed(array, lent: dict) -> bool:
     return False
 
 
+def held_buffers(ws):
+    """Every buffer ``ws`` holds, lent or given back."""
+    return [b for _, b in ws._lent] + [b for free in ws._free.values()
+                                       for b in free]
+
+
 class TestPooledSteps:
     @settings(max_examples=12, deadline=None)
     @given(st.integers(0, 2 ** 16), st.integers(1, 12), st.integers(1, 12),
@@ -379,12 +386,14 @@ class TestPooledSteps:
             tracemalloc.stop()
         assert peak - before < 1e6
 
-    def test_default_step_lends_eight_feedforward_sized_buffers(self):
+    def test_default_step_holds_five_feedforward_sized_buffers(self):
         """At the default config and batch 32, a step's widest arrays are
-        (32, ΣT = 120, ff_hidden = 64). Per block, each GELU lends its
-        output and its derivative, and works in scratch of at most
-        ``_GELU_BLOCK`` elements; a GELU that kept its tanh and took two
-        such arrays of backward scratch made this 12."""
+        (32, ΣT = 120, ff_hidden = 64). Per block, the residual feedforward
+        keeps its hidden layer and that layer's derivative, and one more
+        buffer serves every block's pre-activation and, in the backward,
+        its hidden-layer gradient; GELU works in scratch of at most
+        ``_GELU_BLOCK`` elements. As four ops, whose outputs and kept
+        gradients all stayed lent, the feedforward lent 8 such buffers."""
         config = ModelConfig()
         rng = np.random.default_rng(0)
         x = 1.0 + 0.1 * rng.standard_normal((32, config.lookback, 1))
@@ -395,7 +404,29 @@ class TestPooledSteps:
         widest = (32, sum(config.scale_lengths()), config.ff_hidden)
         assert widest == (32, 120, 64)
         assert sum(buf.shape == widest and buf.dtype == np.float64
-                   for _, buf in ws._lent) == 8
+                   for buf in held_buffers(ws)) == 5
+
+    def test_cold_step_holds_what_a_warm_step_holds(self):
+        """The model's constant time maps are built, on a process's first
+        step, on a workspace of their own: that step's workspace then holds
+        as many buffers, and bytes, as a later step's (85 buffers against
+        74 when the maps left their scratch in it)."""
+        config = ModelConfig()
+        rng = np.random.default_rng(0)
+        x = 1.0 + 0.1 * rng.standard_normal((32, config.lookback, 1))
+        y = 1.0 + 0.1 * rng.standard_normal((32, config.horizon))
+        batch = _normalized_batch(x, y)
+        model = TimeMixerModel(config)
+        opt = Adam(model)
+        pools = []
+        for cold in (True, False):
+            if cold:
+                model_module._stack_maps.cache_clear()
+            ws = Workspace()
+            _step(model, opt, ws, *batch)
+            held = held_buffers(ws)
+            pools.append((len(held), sum(b.nbytes for b in held)))
+        assert pools[0] == pools[1]
 
     def test_default_step_holds_at_most_81_buffers_of_33_mib(self):
         """Each op gives back its scratch once read, and each gradient it
@@ -411,8 +442,7 @@ class TestPooledSteps:
         batch = _normalized_batch(x, y)
         model = TimeMixerModel(config)
         opt = Adam(model)
-        # the first step also builds the model's constant time maps, and
-        # leaves their scratch in the workspace it runs on
+        # the first step also builds the model's constant time maps
         _step(model, opt, Workspace(), *batch)
         ws = Workspace()
         held = []

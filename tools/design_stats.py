@@ -11,7 +11,9 @@ It prints one JSON line:
   records, at batch 1 and at batch 32;
 - ``step_pool``: the buffers, and their MiB, that a fresh workspace holds
   after one default batch-32 training step, by dtype: every buffer it cut,
-  whether still lent or given back within the step.
+  whether still lent or given back within the step;
+- ``forward_pool``: the same for the chunk workspace that a default model
+  keeps after one batch-256 ``forward``.
 
 The model numbers come from a fresh subprocess with ``PYTHONPATH`` set to
 ``TREE/src``, so any two trees can be compared from this one script.
@@ -52,15 +54,25 @@ model = TimeMixerModel(config)
 ws = ad.Workspace()
 training._step(model, training.Adam(model), ws,
                *training._normalized_batch(x, y))
-pool = {}
-for buf in [b for _, b in ws._lent] + [b for free in ws._free.values()
-                                       for b in free]:
-    entry = pool.setdefault(buf.dtype.name, {"buffers": 0, "mib": 0.0})
-    entry["buffers"] += 1
-    entry["mib"] += buf.nbytes / 2 ** 20
-for entry in pool.values():
-    entry["mib"] = round(entry["mib"], 3)
-print(json.dumps({"tape_nodes": nodes, "step_pool": pool}))
+
+
+def held(ws):
+    pool = {}
+    for buf in [b for _, b in ws._lent] + [b for free in ws._free.values()
+                                           for b in free]:
+        entry = pool.setdefault(buf.dtype.name, {"buffers": 0, "mib": 0.0})
+        entry["buffers"] += 1
+        entry["mib"] += buf.nbytes / 2 ** 20
+    for entry in pool.values():
+        entry["mib"] = round(entry["mib"], 3)
+    return pool
+
+
+model = TimeMixerModel(config)
+model.forward(1.0 + 0.1 * rng.standard_normal((256, config.lookback,
+                                               config.channels)))
+print(json.dumps({"tape_nodes": nodes, "step_pool": held(ws),
+                  "forward_pool": held(model._forward_pool)}))
 """
 
 
