@@ -479,15 +479,10 @@ def _gelu_block(v, out, t, deriv, d) -> None:
 
     ``t = tanh(c * (v + k * v * v * v))`` and ``out = 0.5 * v * (1 + t)``;
     the derivative is ``0.5 * (1 + t) + 0.5 * v * (1 - t * t) * d_inner``
-    with ``d_inner = c * (1 + 3k * v * v)``, each rounded in that order. With
-    the derivative, ``v * v`` is formed once, in ``d``, for both.
+    with ``d_inner = c * (1 + 3k * v * v)``, each rounded in that order.
     """
-    if deriv is None:
-        np.multiply(v, v, out=t)
-        t *= v
-    else:
-        np.multiply(v, v, out=d)
-        np.multiply(d, v, out=t)
+    np.multiply(v, v, out=t)
+    t *= v
     t *= 0.044715
     t += v
     t *= _GELU_C
@@ -497,7 +492,8 @@ def _gelu_block(v, out, t, deriv, d) -> None:
     out *= 0.5
     if deriv is None:
         return
-    d *= 3 * 0.044715                                       # d_inner
+    np.multiply(v, v, out=d)                                # d_inner
+    d *= 3 * 0.044715
     d += 1.0
     d *= _GELU_C
     np.add(t, 1.0, out=deriv)                               # first term

@@ -883,6 +883,39 @@ class TestResidualFeedforward:
             assert [b for _, b in ws._lent] == [out.values]
             assert tape is None or len(tape) == 0
 
+    # (leaf, value): one input set so large that a stage's output is not
+    # finite, and the op that the four-op composition names for it
+    NON_FINITE = {
+        "nan input": ("x", math.nan, "segment_linear"),
+        "huge first bias": ("b1s", 1e308, "gelu"),
+        "huge second weight": ("w2s", 1e308, "segment_linear"),
+        "huge residual": ("res", 1e308, "add"),
+    }
+
+    @pytest.mark.parametrize("case", NON_FINITE)
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_non_finite_stage_is_named_as_the_four_ops_name_it(self, rng,
+                                                                case, taped):
+        name, value, op = self.NON_FINITE[case]
+        lengths = [3, 2]
+        leaves = dict(zip(("res", "x", "w1s", "b1s", "w2s", "b2s"),
+                          feedforward_leaves(rng, (2,), lengths, 3, 4)))
+        group = leaves[name]
+        for t in group if isinstance(group, list) else [group]:
+            t.values[...] = value
+        if name == "res":  # the output is about 1e308 too
+            for t in leaves["b2s"]:
+                t.values[...] = value
+        messages = []
+        for fn in (composed_feedforward, ad.residual_feedforward):
+            with np.errstate(all="ignore"), \
+                    (Tape() if taped else contextlib.nullcontext()), \
+                    pytest.raises(NumericError) as raised:
+                fn(*leaves.values(), lengths)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1] == \
+            f"non-finite values produced by '{op}'"
+
     def test_residual_must_match_the_output(self, rng):
         res, x, w1s, b1s, w2s, b2s = feedforward_leaves(rng, (2,), [3, 2],
                                                         3, 4)

@@ -26,3 +26,7 @@ def test_reports_this_repository():
     # pass: 18 buffers, 7.9 MiB, when it was four ops
     assert stats["forward_pool"]["float64"]["buffers"] <= 14
     assert stats["forward_pool"]["float64"]["mib"] <= 5.0
+    # and takes the pre-activation's buffer back within a training step: a
+    # warm default batch-32 step held 74 buffers, 32.2 MiB, as four ops
+    assert stats["step_pool"]["float64"]["buffers"] <= 67
+    assert stats["step_pool"]["float64"]["mib"] <= 23.0
