@@ -468,8 +468,8 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
-# elements per pass of ``gelu`` over a larger input: 256 KiB of float64, so
-# a block's scratch stays in cache between the kernel's passes over it
+# elements per pass of ``gelu``: 256 KiB of float64, so a block's scratch
+# stays in cache between the kernel's passes over it
 _GELU_BLOCK = 1 << 15
 
 
@@ -509,21 +509,17 @@ def _gelu_block(v, out, t, deriv, d) -> None:
 def _gelu_pass(v: np.ndarray, ws, grad: bool):
     """``(out, deriv)``: GELU of ``v`` and, if ``grad``, its derivative
     (else None), each a new array of ``v``'s shape; the scratch goes back."""
-    whole = v.size <= _GELU_BLOCK
     out = ws.empty(v.shape)
     deriv = ws.empty(v.shape) if grad else None
-    t = ws.empty(v.shape if whole else (_GELU_BLOCK,))
+    t = ws.empty((min(v.size, _GELU_BLOCK),))
     d = ws.empty(t.shape) if grad else None
-    if whole:
-        _gelu_block(v, out, t, deriv, d)
-    else:
-        flat_v, flat_out = v.reshape(-1), out.reshape(-1)
-        flat_deriv = deriv.reshape(-1) if grad else None
-        for lo in range(0, v.size, _GELU_BLOCK):
-            n = min(_GELU_BLOCK, v.size - lo)
-            _gelu_block(flat_v[lo:lo + n], flat_out[lo:lo + n], t[:n],
-                        flat_deriv[lo:lo + n] if grad else None,
-                        d[:n] if grad else None)
+    flat_v, flat_out = v.reshape(-1), out.reshape(-1)
+    flat_deriv = deriv.reshape(-1) if grad else None
+    for lo in range(0, v.size, _GELU_BLOCK):
+        n = min(_GELU_BLOCK, v.size - lo)
+        _gelu_block(flat_v[lo:lo + n], flat_out[lo:lo + n], t[:n],
+                    flat_deriv[lo:lo + n] if grad else None,
+                    d[:n] if grad else None)
     ws.give_back(t)
     if grad:
         ws.give_back(d)
@@ -534,13 +530,12 @@ def gelu(x: Tensor) -> Tensor:
     """Elementwise x * Phi(x), tanh approximation.
 
     Cubes and squares are products, not ``**`` (NumPy's generic power path is
-    slow), and ``x`` is never written. An input of more than ``_GELU_BLOCK``
-    elements is worked through in blocks of that many, each with its own
-    passes over block-sized scratch; a smaller one in one go on whole arrays
-    (``out=`` keeps them arrays for 0-d input). Being elementwise, the
-    results do not depend on the blocks. Under a tape the same pass forms
-    the derivative, the one array the node keeps, and the backward
-    multiplies it by the output gradient in place.
+    slow), and ``x`` is never written. Every input is worked through in
+    blocks of at most ``_GELU_BLOCK`` elements, each with its own passes over
+    1-D scratch of one block. Being elementwise, the results do not depend
+    on the blocks. Under a tape the same pass forms the derivative, the one
+    array the node keeps, and the backward multiplies it by the output
+    gradient in place.
     """
     ws = _workspace()
     out, deriv = _gelu_pass(x.values, ws,

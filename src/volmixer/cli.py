@@ -16,7 +16,7 @@ import json
 import subprocess
 import sys
 import typing
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 from volmixer import __version__
@@ -83,21 +83,20 @@ class RunConfig:
         except TrainingError as exc:
             raise ValidationFailure(str(exc)) from exc
 
+    def _shared(self, cls) -> dict:
+        """This config's values of the fields ``cls`` shares by name."""
+        mine = {f.name for f in fields(self)}
+        return {f.name: getattr(self, f.name) for f in fields(cls)
+                if f.name in mine}
+
     def model_config(self, horizon: int) -> ModelConfig:
         # feature_matrix: volatility alone, or with log return and log volume
-        return ModelConfig(lookback=self.lookback, horizon=horizon,
+        return ModelConfig(horizon=horizon,
                            channels=3 if self.covariates else 1,
-                           d_model=self.d_model,
-                           num_blocks=self.num_blocks,
-                           num_scales=self.num_scales,
-                           decomp_kernel=self.decomp_kernel,
-                           ff_hidden=self.ff_hidden, seed=self.seed)
+                           **self._shared(ModelConfig))
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(batch_size=self.batch_size,
-                           learning_rate=self.learning_rate,
-                           max_epochs=self.max_epochs, patience=self.patience,
-                           seed=self.seed)
+        return TrainConfig(**self._shared(TrainConfig))
 
 
 def _is_int(value) -> bool:

@@ -14,7 +14,7 @@ import math
 import re
 import time
 from dataclasses import dataclass, field
-from datetime import date, datetime, timezone
+from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 from typing import Optional
 
@@ -442,10 +442,13 @@ def fetch_ohlcv(ticker: str, start: date, end: date, endpoint: str,
     else:
         import requests
 
+        # period2 is exclusive: 00:00 UTC on the day after ``end`` asks for
+        # every bar stamped on ``end`` too
+        stop = end + timedelta(days=1)
         params = {
             "period1": int(datetime(start.year, start.month, start.day,
                                     tzinfo=timezone.utc).timestamp()),
-            "period2": int(datetime(end.year, end.month, end.day,
+            "period2": int(datetime(stop.year, stop.month, stop.day,
                                     tzinfo=timezone.utc).timestamp()),
             "interval": "1d",
         }

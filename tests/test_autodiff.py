@@ -210,13 +210,13 @@ class TestGeluBlocks:
         assert x.values.tobytes() == v.tobytes()
         held = [b for _, b in ws._lent] + [b for free in ws._free.values()
                                            for b in free]
-        whole = [b for b in held
-                 if b.dtype == np.float64 and b.shape == shape]
-        one_pass = v.size <= ad._GELU_BLOCK
-        # the output and, in one pass, its scratch; under a tape, the
-        # derivative and, in one pass, its scratch too
-        assert len(whole) == (1 + one_pass) * (1 + taped)
-        assert any(b is y.values for b in whole)
+        block = (min(v.size, ad._GELU_BLOCK),)
+        # the output and 1-D scratch of at most one block; under a tape, the
+        # derivative and a second such scratch too
+        assert sorted(b.shape for b in held) == sorted([shape, block]
+                                                       * (1 + taped))
+        assert all(b.dtype == np.float64 for b in held)
+        assert any(b is y.values for b in held)
         if not taped:
             assert tape is None
             return

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 from datetime import date, timedelta
@@ -145,6 +146,23 @@ class TestConfig:
     def test_run_defaults_are_the_model_and_training_defaults(self):
         assert cli.RunConfig().model_config(12) == ModelConfig(horizon=12)
         assert cli.RunConfig().train_config() == TrainConfig()
+        # every setting shared by name, each away from its default, reaches
+        # both configs
+        run = cli.RunConfig(covariates=True)
+        shared = {f.name for f in dataclasses.fields(run)} & {
+            f.name for cls in (ModelConfig, TrainConfig)
+            for f in dataclasses.fields(cls)}
+        assert shared >= {"lookback", "d_model", "ff_hidden", "batch_size",
+                          "learning_rate", "seed"}
+        for name in shared:
+            setattr(run, name, getattr(run, name) * 2 + 1)
+        model, training = run.model_config(5), run.train_config()
+        assert (model.horizon, model.channels) == (5, 3)
+        for name in shared:
+            assert getattr(run, name) != getattr(cli.RunConfig(), name)
+            for config in (model, training):
+                if hasattr(config, name):
+                    assert getattr(config, name) == getattr(run, name), name
 
     def test_lookback_scale_gate_before_any_work(self, workspace):
         tmp, config, _ = workspace

@@ -587,6 +587,15 @@ class TestFetchNetwork:
         assert url == "https://chart.test/v8/chart/X"
         assert params["interval"] == "1d"
 
+    def test_requested_window_covers_the_whole_end_day(self, network):
+        outcomes, calls, _ = network
+        outcomes.append("ok")
+        self.fetch()
+        (_, params), = calls
+        # 00:00 UTC on 2020-01-01, and on 2020-02-01, the day after ``end``
+        assert params["period1"] == 1577836800
+        assert params["period2"] == 1580515200
+
     def test_no_sleep_after_last_failure(self, network):
         outcomes, calls, sleeps = network
         outcomes.extend(["fail"] * 3)
